@@ -18,6 +18,7 @@ schedule described inline via repeated ``--train`` options::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.casestudies import CaseStudy, all_case_studies
@@ -433,7 +434,16 @@ def _cmd_report(args) -> int:
     if not args.trace and not args.metrics:
         raise SystemExit("report needs --trace and/or --metrics")
     report = RunReport.from_files(args.trace, args.metrics)
-    print(report.render())
+    try:
+        print(report.render())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro report ... | head``): that is
+        # not an error.  Point stdout at devnull so the interpreter's
+        # exit-time flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if args.export_chrome:
         if not args.trace:
             raise SystemExit("--export-chrome needs --trace")

@@ -81,6 +81,9 @@ def decode_solution(encoding: "EtcsEncoding", true_vars: set[int]) -> Solution:
             borders.add(vertex)
     layout = VSSLayout(net, borders)
 
+    # Trains dwell, so most steps repeat an earlier occupied set; one
+    # shared frozenset per distinct set keeps retained solutions small.
+    interned: dict[frozenset[int], frozenset[int]] = {}
     trajectories: list[TrainTrajectory] = []
     for i, run in enumerate(encoding.runs):
         steps: list[frozenset[int]] = []
@@ -94,6 +97,7 @@ def decode_solution(encoding: "EtcsEncoding", true_vars: set[int]) -> Solution:
                 if (var := reg.lookup_occupies(i, e, t)) is not None
                 and var in true_vars
             )
+            occupied = interned.setdefault(occupied, occupied)
             steps.append(occupied)
             if arrival_step is None and occupied & goal_set:
                 arrival_step = t

@@ -650,8 +650,11 @@ class EtcsEncoding:
         """Clauses each *deferred* family would have emitted eagerly.
 
         Walks the family loops with a counting sink (no clause is
-        created); the lazy loop reports ``lazy.clauses_saved`` against
-        these totals.  Cached — the cone/TTD queries dominate the cost.
+        created); the clauses a lazy run saved are these totals minus
+        its ``lazy.constraints_added``.  The walk costs about as much as
+        a solve on small scenarios, so no task calls it per run; it is
+        the pricing API for benchmarks and tests.  Cached — the cone/TTD
+        queries dominate the cost.
         """
         if self._deferred_count is None:
 

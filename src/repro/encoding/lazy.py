@@ -253,12 +253,13 @@ class LazyRefiner:
         )
         return added
 
-    def stats(self, include_saved: bool = True) -> dict:
+    def stats(self) -> dict:
         """``lazy.*`` metric payload (see doc/architecture.md §7).
 
-        ``include_saved`` prices the avoided clauses via
-        :meth:`EtcsEncoding.deferred_eager_count` — a full counting walk
-        of the deferred families, so callers on a hot path may skip it.
+        Only counters the loop already holds: pricing the avoided
+        clauses takes a full counting walk of the deferred families,
+        so callers that want it ask
+        :meth:`EtcsEncoding.deferred_eager_count` themselves.
         """
         out = {
             "lazy.rounds": self.rounds,
@@ -267,11 +268,6 @@ class LazyRefiner:
         }
         for family, count in sorted(self.violations.items()):
             out[f"lazy.violations.{family}"] = count
-        if include_saved:
-            eager = self.encoding.deferred_eager_count()
-            total = sum(eager.values())
-            out["lazy.eager_clauses"] = total
-            out["lazy.clauses_saved"] = total - self.clauses_added
         return out
 
 

@@ -38,49 +38,49 @@ class VariableRegistry:
 
     def border(self, vertex: int) -> int:
         name = ("border", vertex)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
+        var = self.pool.lookup(name)
+        if var is None:
+            var = self.pool.var(name)
             self.num_border += 1
         return var
 
     def occupies(self, train: int, segment: int, step: int) -> int:
         name = ("occupies", train, segment, step)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
+        var = self.pool.lookup(name)
+        if var is None:
+            var = self.pool.var(name)
             self.num_occupies += 1
         return var
 
     def done(self, train: int, step: int) -> int:
         name = ("done", train, step)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
+        var = self.pool.lookup(name)
+        if var is None:
+            var = self.pool.var(name)
             self.num_done += 1
         return var
 
     def gone(self, train: int, step: int) -> int:
         name = ("gone", train, step)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
+        var = self.pool.lookup(name)
+        if var is None:
+            var = self.pool.var(name)
             self.num_gone += 1
         return var
 
     def chain(self, train: int, chain_index: int, step: int) -> int:
         name = ("chain", train, chain_index, step)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
+        var = self.pool.lookup(name)
+        if var is None:
+            var = self.pool.var(name)
             self.num_chain += 1
         return var
 
     def done_all(self, step: int) -> int:
         name = ("done_all", step)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
+        var = self.pool.lookup(name)
+        if var is None:
+            var = self.pool.var(name)
             self.num_done_all += 1
         return var
 

@@ -93,7 +93,7 @@ class CNF:
     def add(self, clause: Iterable[int]) -> None:
         """Add one clause (an iterable of non-zero literals)."""
         lits = list(clause)
-        if any(lit == 0 for lit in lits):
+        if 0 in lits:
             raise ValueError(f"clause contains literal 0: {lits}")
         self.clauses.append(lits)
 

@@ -67,6 +67,12 @@ def minimize_sum_core_guided(
         )
         return True
 
+    def finish(**fields) -> MinimizeResult:
+        """A core-guided result carrying the engine's solver counters."""
+        return MinimizeResult(
+            strategy="core", solver_stats=solver.stats.as_dict(), **fields
+        )
+
     def timed_out(verdict: SolveResult) -> bool:
         return verdict is SolveResult.UNKNOWN and (
             solver.last_stats.deadline_hits > 0
@@ -78,8 +84,8 @@ def minimize_sum_core_guided(
         arm()
         first = solver.solve()
         if first is not SolveResult.SAT:
-            return MinimizeResult(
-                feasible=False, solve_calls=calls, strategy="core",
+            return finish(
+                feasible=False, solve_calls=calls,
                 status=STATUS_TIMEOUT if timed_out(first) else "",
             )
         first_model = solver.model()
@@ -87,13 +93,12 @@ def minimize_sum_core_guided(
             1 for lit in objective_lits if solver.model_value(lit)
         )
         if not objective_lits:
-            return MinimizeResult(
+            return finish(
                 feasible=True,
                 cost=0,
                 model=first_model,
                 proven_optimal=True,
                 solve_calls=calls,
-                strategy="core",
             )
 
         def add(clause: list[int]) -> None:
@@ -108,13 +113,12 @@ def minimize_sum_core_guided(
             status = ""
             if not proven and deadline_hit:
                 status = STATUS_TIMEOUT
-            return MinimizeResult(
+            return finish(
                 feasible=True,
                 cost=first_cost,
                 model=first_model,
                 proven_optimal=proven,
                 solve_calls=calls,
-                strategy="core",
                 status=status,
                 lower_bound=lower_bound,
             )
@@ -137,13 +141,12 @@ def minimize_sum_core_guided(
                 cost = sum(
                     1 for lit in objective_lits if solver.model_value(lit)
                 )
-                return MinimizeResult(
+                return finish(
                     feasible=True,
                     cost=cost,
                     model=model,
                     proven_optimal=cost == lower_bound,
                     solve_calls=calls,
-                    strategy="core",
                     lower_bound=lower_bound,
                 )
             if verdict is SolveResult.UNKNOWN:
@@ -154,9 +157,7 @@ def minimize_sum_core_guided(
             if not core:
                 # Hard clauses alone are unsat — impossible after the first
                 # SAT call above, but guard against solver misuse.
-                return MinimizeResult(
-                    feasible=False, solve_calls=calls, strategy="core"
-                )
+                return finish(feasible=False, solve_calls=calls)
             lower_bound += 1
             round_blockers: list[int] = []
             for selector in core:

@@ -152,23 +152,33 @@ class Kernel:
         return len(self._learned_refs)
 
     def new_var(self) -> int:
-        var = self._nv + 1
-        if var > self._cap:
-            self._grow(var)
-        self._nv = var
-        self._level.append(0)
-        self._reason.append(-1)
-        self._activity.append(0.0)
-        self._saved_phase.append(1 if self.config.default_phase else 0)
-        self._seen.append(0)
-        heapq.heappush(self._order_heap, (0.0, var))
-        return var
+        self.ensure_var(self._nv + 1)
+        return self._nv
 
     def ensure_var(self, var: int) -> None:
+        """Create every variable up to ``var`` in one step.
+
+        State-identical to ``new_var`` in a loop: appending ``(0.0, v)``
+        for ascending fresh ``v`` keeps the heap invariant, because every
+        entry already in the heap is ``(-activity, u)`` with
+        ``-activity <= 0.0`` and ``u < v``.
+        """
         if var <= 0:
             raise InvalidLiteralError(f"variables must be positive, got {var}")
-        while self._nv < var:
-            self.new_var()
+        nv = self._nv
+        if var <= nv:
+            return
+        if var > self._cap:
+            self._grow(var)
+        count = var - nv
+        self._level.extend([0] * count)
+        self._reason.extend([-1] * count)
+        self._activity.extend([0.0] * count)
+        phase = 1 if self.config.default_phase else 0
+        self._saved_phase.extend(bytes([phase]) * count)
+        self._seen.extend(bytes(count))
+        self._order_heap.extend([(0.0, v) for v in range(nv + 1, var + 1)])
+        self._nv = var
 
     def _grow(self, need: int) -> None:
         """Re-centre the literal-indexed arrays around a larger capacity."""
@@ -188,7 +198,8 @@ class Kernel:
     def add_clause(self, lits: Any) -> bool:
         if not self._ok:
             return False
-        self._backtrack(0)
+        if self._trail_lim:
+            self._backtrack(0)
         assigns = self._assigns
         off = self._off
 
@@ -197,9 +208,10 @@ class Kernel:
         for lit in lits:
             if not isinstance(lit, int) or lit == 0:
                 raise InvalidLiteralError(f"invalid literal {lit!r}")
-            self.ensure_var(lit if lit > 0 else -lit)
-            if assigns is not self._assigns:  # _grow replaced the array
-                assigns = self._assigns
+            var = lit if lit > 0 else -lit
+            if var > self._nv:
+                self.ensure_var(var)
+                assigns = self._assigns  # _grow may have replaced it
                 off = self._off
             if -lit in seen_here:
                 return True  # tautology
@@ -213,16 +225,30 @@ class Kernel:
             seen_here.add(lit)
             simplified.append(lit)
 
-        if not simplified:
+        size = len(simplified)
+        if size == 0:
             self._ok = False
             return False
-        if len(simplified) == 1:
+        if size == 1:
             self._enqueue(simplified[0], -1)
             self._ok = self._propagate() < 0
             return self._ok
-        ref = self._store(simplified, False, 0)
+        # _store + _attach, inlined: this is the per-clause load path.
+        arena = self._arena
+        ref = len(arena)
+        arena.append(size)
+        arena.append(-1)
+        arena.extend(simplified)
         self._clause_refs.append(ref)
-        self._attach(ref)
+        tagged = ref << 1 | (1 if size == 2 else 0)
+        lit0 = simplified[0]
+        lit1 = simplified[1]
+        watchers = self._watches[off + lit0]
+        watchers.append(tagged)
+        watchers.append(lit1)
+        watchers = self._watches[off + lit1]
+        watchers.append(tagged)
+        watchers.append(lit0)
         return True
 
     def add_clauses(self, clauses: Any) -> bool:

@@ -4,6 +4,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,3 +138,50 @@ class TestFuzzReport:
         # differential paths would be meaningless, so they must not
         # appear in the aggregated report.
         assert "profile.props_per_s" not in metrics
+
+
+class TestReportPipe:
+    def test_closed_stdout_exits_cleanly(self, tmp_path):
+        """``repro report ... | head -1``: a reader that goes away early
+        is not an error — no traceback, exit 0."""
+        trace_path = tmp_path / "trace.jsonl"
+        metrics_path = tmp_path / "metrics.json"
+        main([
+            "optimize", "--case", "running-example",
+            "--trace", str(trace_path), "--metrics", str(metrics_path),
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "report",
+                 "--trace", str(trace_path),
+                 "--metrics", str(metrics_path)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        stderr = proc.stderr.decode()
+        assert "Traceback" not in stderr, stderr
+        assert proc.returncode == 0, stderr
+
+
+class TestCoreStrategyMetrics:
+    def test_generate_core_reports_solver_counters(self, tmp_path,
+                                                   capsys):
+        metrics_path = tmp_path / "metrics.json"
+        code = main([
+            "generate", "--case", "running-example", "--strategy", "core",
+            "--metrics", str(metrics_path),
+        ])
+        assert code == 0
+        metrics = json.loads(metrics_path.read_text())
+        assert metrics["solver.conflicts"] >= 0
+        assert metrics["solver.propagations"] > 0
+        assert metrics["solver.solve_calls"] >= 1

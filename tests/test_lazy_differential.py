@@ -29,7 +29,6 @@ def test_verification_verdict_agrees(study):
     assert lazy.satisfiable == eager.satisfiable, study.name
     # The relaxation never instantiates more than the eager formula.
     assert lazy.clauses <= eager.clauses, study.name
-    assert lazy.metrics["lazy.clauses_saved"] >= 0, study.name
 
 
 def test_generation_optimum_agrees(study):

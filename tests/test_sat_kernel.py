@@ -13,6 +13,7 @@ the CNFs of 25 fuzz scenarios, plus the kernel selection machinery
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 
@@ -27,7 +28,7 @@ from repro.sat.kernel import (
     resolve_kind,
 )
 from repro.sat.solver import Solver
-from repro.sat.types import SolveResult, SolverConfig
+from repro.sat.types import InvalidLiteralError, SolveResult, SolverConfig
 from repro.sat.wire import pack_clauses, unpack_clauses
 
 KERNEL_KIND = kernel_build()  # "interpreted" here; "compiled" in the CI leg
@@ -158,6 +159,186 @@ class TestLockstepProperties:
             assert _fingerprint(legacy, verdict_l) == (
                 _fingerprint(kernel, verdict_k)
             ), config
+
+
+def _reference_ensure_var(k, var):
+    """Variable growth one ``new_var`` at a time (the loader's original
+    shape: one append per array and one ``heappush`` per variable)."""
+    if var <= 0:
+        raise InvalidLiteralError(f"variables must be positive, got {var}")
+    while k._nv < var:
+        v = k._nv + 1
+        if v > k._cap:
+            k._grow(v)
+        k._nv = v
+        k._level.append(0)
+        k._reason.append(-1)
+        k._activity.append(0.0)
+        k._saved_phase.append(1 if k.config.default_phase else 0)
+        k._seen.append(0)
+        heapq.heappush(k._order_heap, (0.0, v))
+
+
+def _reference_add_clause(k, lits):
+    """Clause loading through ``ensure_var`` per literal and the generic
+    ``_store`` / ``_attach`` helpers (the loader's original shape)."""
+    if not k._ok:
+        return False
+    k._backtrack(0)
+    simplified = []
+    seen_here = set()
+    for lit in lits:
+        if not isinstance(lit, int) or lit == 0:
+            raise InvalidLiteralError(f"invalid literal {lit!r}")
+        _reference_ensure_var(k, abs(lit))
+        if -lit in seen_here:
+            return True
+        if lit in seen_here:
+            continue
+        value = k._assigns[k._off + lit]
+        if value == 1:
+            return True
+        if value == -1:
+            continue
+        seen_here.add(lit)
+        simplified.append(lit)
+    if not simplified:
+        k._ok = False
+        return False
+    if len(simplified) == 1:
+        k._enqueue(simplified[0], -1)
+        k._ok = k._propagate() < 0
+        return k._ok
+    ref = k._store(simplified, False, 0)
+    k._clause_refs.append(ref)
+    k._attach(ref)
+    return True
+
+
+def _outcome(add, lits):
+    try:
+        return add(list(lits))
+    except InvalidLiteralError:
+        return InvalidLiteralError
+
+
+def _kernel_state(k):
+    """Every array the loader writes, exactly."""
+    return (
+        k._nv, k._cap, k._off, k._ok, k._qhead,
+        list(k._arena), list(k._clause_refs),
+        [list(w) for w in k._watches], list(k._assigns),
+        list(k._trail), list(k._level), list(k._reason),
+        list(k._activity), bytes(k._saved_phase), bytes(k._seen),
+        list(k._order_heap),
+    )
+
+
+def _kernel_watches(k):
+    """Per literal: (clause literals, blocker) pairs, engine-neutral."""
+    arena = k._arena
+    out = {}
+    for var in range(1, k._nv + 1):
+        for lit in (var, -var):
+            flat = k._watches[k._off + lit]
+            pairs = []
+            for i in range(0, len(flat), 2):
+                ref = flat[i] >> 1
+                size = arena[ref]
+                pairs.append(
+                    (tuple(arena[ref + 2:ref + 2 + size]), flat[i + 1])
+                )
+            out[lit] = pairs
+    return out
+
+
+def _legacy_watches(solver):
+    out = {}
+    for var in range(1, solver.num_vars + 1):
+        for lit in (var, -var):
+            flat = solver._watches[solver._lit_index(lit)]
+            out[lit] = [
+                (tuple(flat[i].lits), flat[i + 1])
+                for i in range(0, len(flat), 2)
+            ]
+    return out
+
+
+def _pop_order(heap):
+    heap = list(heap)
+    return [heapq.heappop(heap) for __ in range(len(heap))]
+
+
+#: Dense literals (units, duplicates, tautologies, literals already
+#: false at level 0), sparse ones (growth past the kernel's initial
+#: 16-variable capacity, and literal 0), and clauses holding a 0.
+load_literal = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.integers(-70, 70),
+)
+load_clauses_strategy = st.lists(
+    st.one_of(
+        st.lists(load_literal, min_size=1, max_size=5),
+        st.sampled_from([[0], [3, 0], [-2, 0, 40], [5, -5, 90]]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestClauseLoading:
+    """The one-step ``ensure_var`` and inlined ``add_clause`` write
+    exactly what per-variable growth plus ``_store``/``_attach`` wrote,
+    and stay in lockstep with the legacy engine."""
+
+    @given(load_clauses_strategy, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_loader_matches_reference_and_legacy(self, cnf, phase):
+        config = SolverConfig(default_phase=phase)
+        kernel = load_kernel(KERNEL_KIND).Kernel(config)
+        reference = load_kernel("interpreted").Kernel(config)
+        legacy = Solver(SolverConfig(kernel="legacy", default_phase=phase))
+        for lits in cnf:
+            was_ok = kernel._ok
+            got = _outcome(kernel.add_clause, lits)
+            assert got == _outcome(
+                lambda c: _reference_add_clause(reference, c), lits
+            )
+            assert got == _outcome(legacy.add_clause, lits)
+            if lits[0] == 0 and was_ok:
+                # (A later 0 may sit behind an early tautology or
+                # level-0-satisfied return, on every engine alike.)
+                assert got is InvalidLiteralError
+            assert _kernel_state(kernel) == _kernel_state(reference)
+            assert kernel._trail == legacy._trail
+            assert kernel._ok == legacy._ok
+            assert kernel.num_vars == legacy.num_vars
+        assert kernel.problem_clauses() == [
+            list(clause.lits) for clause in legacy._clauses
+        ]
+        assert _kernel_watches(kernel) == _legacy_watches(legacy)
+        assert _pop_order(kernel._order_heap) == (
+            _pop_order(legacy._order_heap)
+        )
+        verdicts = [
+            solver.solve() for solver in (kernel, reference, legacy)
+        ]
+        fingerprints = [
+            _fingerprint(solver, verdict)
+            for solver, verdict in zip((kernel, reference, legacy), verdicts)
+        ]
+        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+
+    def test_ensure_var_past_capacity_matches_new_var_loop(self):
+        kernel = load_kernel(KERNEL_KIND).Kernel()
+        reference = load_kernel("interpreted").Kernel()
+        for var in (3, 3, 17, 16, 64, 65, 200):
+            kernel.ensure_var(var)
+            _reference_ensure_var(reference, var)
+            assert _kernel_state(kernel) == _kernel_state(reference)
+        assert kernel.new_var() == 201
+        with pytest.raises(InvalidLiteralError):
+            kernel.ensure_var(0)
 
 
 class TestLockstepFuzzScenarios:
