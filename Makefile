@@ -66,7 +66,7 @@ bench-portfolio:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_portfolio.py \
 		--benchmark-only -q
 
-# One-shot vs persistent-incremental descent on the running example;
+# Serial vs resident-service descent on the running example;
 # writes the perf-trajectory data point BENCH_descent.json.
 bench-descent:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_descent.py \

@@ -28,9 +28,11 @@ Usage::
 
 With ``--history`` the baseline is instead the *rolling median* of the
 last ``--window`` runs of one bench recorded in ``BENCH_HISTORY.jsonl``
-(``benchmarks/history.py``), which resists one-off outlier runs better
-than any single committed file.  An empty or missing history passes
-(first run seeds the history)::
+(``benchmarks/history.py``) on *this* host — records from other hosts
+(different CPU model, core count, Python or SAT kernel) are not
+comparable and are left out — which resists one-off outlier runs better
+than any single committed file.  An empty or missing history for this
+host passes (first run seeds the history)::
 
     python benchmarks/check_regression.py \
         --history BENCH_HISTORY.jsonl --bench descent \
@@ -95,10 +97,15 @@ def compare(baseline: dict, current: dict, threshold: float):
 
 def history_baseline(path: str, bench: str | None,
                      window: int) -> dict | None:
-    """Rolling-median baseline from a history file, or None when the
-    history has no usable records yet (first run: nothing to gate)."""
+    """Rolling-median baseline from this host's records in a history
+    file, or None when it has none yet (first run: nothing to gate)."""
     try:
-        from history import load_history, rolling_baseline
+        from history import (
+            host_fingerprint,
+            load_history,
+            rolling_baseline,
+            same_host,
+        )
     except ImportError:  # script run from another cwd
         import importlib.util
         import os
@@ -112,7 +119,10 @@ def history_baseline(path: str, bench: str | None,
         spec.loader.exec_module(module)
         load_history = module.load_history
         rolling_baseline = module.rolling_baseline
-    records = load_history(path, bench=bench)
+        host_fingerprint = module.host_fingerprint
+        same_host = module.same_host
+    records = same_host(load_history(path, bench=bench),
+                        host_fingerprint())
     if not records:
         return None
     baseline = rolling_baseline(records, window=window)
@@ -144,11 +154,12 @@ def main(argv=None) -> int:
     if args.history:
         baseline = history_baseline(args.history, args.bench, args.window)
         if baseline is None:
-            print(f"ok: no usable history in {args.history!r} yet — "
-                  "nothing to gate against (run recorded as the seed)")
+            print(f"ok: no usable history from this host in "
+                  f"{args.history!r} yet — nothing to gate against "
+                  "(run recorded as the seed)")
             return 0
         reference = (
-            f"rolling median of {args.history}"
+            f"rolling median of this host's {args.history}"
             + (f" [{args.bench}]" if args.bench else "")
         )
     else:

@@ -3,18 +3,24 @@
 Every bench run appends one JSON line to ``BENCH_HISTORY.jsonl``::
 
     {"sha": "<git sha>", "time": <unix>, "bench": "descent",
-     "metrics": {"bench.generation.persistent_s": 1.23, ...}}
+     "host": {"cpu_model": "...", "nproc": 2, "python": "3.11.7",
+              "kernel": "interpreted"},
+     "metrics": {"bench.generation.service_s": 1.23, ...}}
 
 so the repository accumulates a per-commit performance trajectory that
 
 * ``repro trend`` renders as per-key sparkline trajectories,
 * ``check_regression.py --history`` gates against (rolling median of
-  the last N runs instead of a single committed baseline).
+  the last N runs *from the same host* instead of a single committed
+  baseline).
 
 The file is append-only JSONL: torn trailing lines (a killed bench) are
 skipped by every reader, and histories from different machines merge by
-concatenation.  ``git_sha`` degrades to ``"unknown"`` outside a git
-checkout so benches still record history in exported tarballs.
+concatenation — the ``host`` fingerprint (CPU model, core count, Python
+version, SAT kernel kind; the fields of ``perfbench/stats.py``) keeps
+them apart, and records written before it existed form their own group.
+``git_sha`` degrades to ``"unknown"`` outside a git checkout so benches
+still record history in exported tarballs.
 
 Use from a bench script (after ``reg.write_json(out)``)::
 
@@ -31,6 +37,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import subprocess
 import time
 
@@ -56,22 +64,57 @@ def git_sha() -> str:
     return out.stdout.strip() or "unknown"
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def host_fingerprint() -> dict:
+    """What a bench number depends on besides the code; numbers from
+    hosts with different fingerprints are not comparable."""
+    try:
+        from repro.sat.kernel import resolve_kind
+        kernel = resolve_kind()
+    except ImportError:  # run without the package on the path
+        kernel = "unknown"
+    return {
+        "cpu_model": _cpu_model(),
+        "nproc": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "kernel": kernel,
+    }
+
+
+def same_host(records: list[dict], host: dict | None) -> list[dict]:
+    """The records taken on ``host`` (None: the records without one)."""
+    return [record for record in records if record.get("host") == host]
+
+
 def append_history(
     bench: str,
     metrics: dict,
     path: str = HISTORY_PATH,
     sha: str | None = None,
     timestamp: float | None = None,
+    host: dict | None = None,
 ) -> dict:
     """Append one bench run to the history file; returns the record.
 
     Only scalar metric values are recorded (histogram summaries are
-    dropped) so every record stays one flat comparable dict.
+    dropped) so every record stays one flat comparable dict.  ``host``
+    defaults to this machine's :func:`host_fingerprint`.
     """
     record = {
         "sha": sha if sha is not None else git_sha(),
         "time": timestamp if timestamp is not None else time.time(),
         "bench": bench,
+        "host": host if host is not None else host_fingerprint(),
         "metrics": {
             key: value
             for key, value in sorted(metrics.items())

@@ -235,11 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "processes (linear/binary strategies)")
     generate.add_argument("--strategy", default="linear",
                           choices=["linear", "binary", "core"])
-    generate.add_argument("--no-persist", dest="persist",
-                          action="store_false",
-                          help="fork fresh portfolio workers per probe "
-                               "instead of reusing the resident "
-                               "incremental solver service")
     generate.add_argument("--lazy", action=argparse.BooleanOptionalAction,
                           default=False,
                           help="defer cross-train constraints to the CEGAR "
@@ -257,11 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "processes (linear/binary strategies)")
     optimize.add_argument("--strategy", default="linear",
                           choices=["linear", "binary", "core"])
-    optimize.add_argument("--no-persist", dest="persist",
-                          action="store_false",
-                          help="fork fresh portfolio workers per probe "
-                               "instead of reusing the resident "
-                               "incremental solver service")
     optimize.add_argument("--min-borders", action="store_true",
                           help="secondarily minimise VSS borders")
     optimize.add_argument("--objective", default="makespan",
@@ -364,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(fuzz)
 
     serve = sub.add_parser(
-        "serve", help="run the always-on solve gateway (persistent "
+        "serve", help="run the always-on solve gateway (long-lived "
                       "workers + fingerprint-keyed result cache)"
     )
     serve.add_argument("--socket", metavar="PATH",
@@ -375,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="additionally serve HTTP/JSON on "
                             "127.0.0.1:PORT (POST /solve, GET /status)")
     serve.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="persistent solve workers (default 2)")
+                       help="long-lived solve workers (default 2)")
     serve.add_argument("--cache", type=int, default=256, metavar="N",
                        help="result-cache capacity in entries "
                             "(default 256)")
@@ -793,7 +783,6 @@ def _run_command(args) -> int:
             raise SystemExit("--resume requires --checkpoint")
         result = generate_layout(net, schedule, r_t, strategy=args.strategy,
                                  parallel=args.jobs,
-                                 persistent=args.persist,
                                  timeout_s=args.timeout,
                                  checkpoint_path=args.checkpoint,
                                  resume=args.resume,
@@ -809,7 +798,6 @@ def _run_command(args) -> int:
             minimize_borders_secondary=args.min_borders,
             objective=args.objective,
             parallel=args.jobs,
-            persistent=args.persist,
             timeout_s=args.timeout,
             checkpoint_path=args.checkpoint,
             resume=args.resume,

@@ -1,4 +1,4 @@
-"""Always-on solve gateway: persistent workers + fingerprint cache.
+"""Always-on solve gateway: long-lived workers + fingerprint cache.
 
 ``repro serve`` runs a :class:`Gateway` — an asyncio front door on a
 unix socket (and optionally HTTP) that multiplexes verify / generate /

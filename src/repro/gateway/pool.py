@@ -66,7 +66,7 @@ def _pool_worker(conn) -> None:
 
 
 class TaskWorkerPool:
-    """Fixed-size pool of persistent solve workers."""
+    """Fixed-size pool of long-lived solve workers."""
 
     def __init__(self, processes: int = 2):
         if processes < 1:

@@ -9,7 +9,7 @@ solve itself.  Request lifecycle::
         │ exact cache hit?          ──► cached response (no worker)
         │ delta-close cache hit?    ──► attach warm-start hint
         ▼
-    worker pool (persistent fork workers) ──► solve, re-certifying any
+    worker pool (long-lived fork workers) ──► solve, re-certifying any
         │                                     warm hint before use
         │ worker crashed?           ──► in-process one-shot fallback
         ▼
@@ -21,7 +21,7 @@ rejected as overloaded rather than queued without bound, and every
 request carries an optional ``deadline_s`` that is enforced at
 admission (reject when already expired), after queueing (reject when
 the wait consumed it) and during the solve (the optimisation wall
-budget — :class:`repro.opt.minimize._DescentBudget` — gets the
+budget — :class:`repro.sat.session.WallBudget` — gets the
 remainder).  Shutdown drains: accept sockets close first, inflight
 requests get ``drain_s`` to finish, then the pool is torn down and the
 socket unlinked.
@@ -47,7 +47,7 @@ from repro.gateway.pool import (
 from repro.gateway.requests import TASKS, RequestError, execute
 from repro.obs import events as obs_events
 from repro.obs.metrics import MetricsRegistry
-from repro.opt.minimize import _DescentBudget
+from repro.sat.session import WallBudget
 
 
 @dataclass
@@ -246,7 +246,7 @@ class Gateway:
                 "error": f"unknown task {task!r}; known: {list(TASKS)}",
             }
         self.registry.inc("gateway.requests")
-        budget = _DescentBudget(payload.get("deadline_s"))
+        budget = WallBudget(payload.get("deadline_s"))
         use_cache = bool(not payload.get("no_cache") and task != "fuzz")
         ekey = exact_key(payload) if use_cache else None
         fkey = family_key(payload) if use_cache else None
@@ -326,7 +326,6 @@ class Gateway:
             fallback = dict(payload)
             params = dict(fallback.get("params") or {})
             params["parallel"] = 1
-            params.pop("persistent", None)
             fallback["params"] = params
             fallback.pop("inject", None)
             try:

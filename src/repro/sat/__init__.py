@@ -12,6 +12,9 @@ Public entry points:
 * :class:`SolveResult` — SAT / UNSAT / UNKNOWN verdicts.
 * :func:`solve_portfolio` / :class:`SolverService` — one-shot and
   resident-incremental parallel portfolios over diversified configs.
+* :class:`ProbeSession` — incremental probes over a growing CNF, serial
+  or on the service, with a lazy-refinement hook (the descents and the
+  lazy verification loop run on it).
 * :func:`parse_dimacs` / :func:`write_dimacs` — DIMACS CNF interchange.
 
 The solver itself is a facade over two trace-identical engines — the
@@ -39,6 +42,7 @@ from repro.sat.service import (
     ShareConfig,
     SolverService,
 )
+from repro.sat.session import ProbeSession
 from repro.sat.simplify import SimplifyStats, simplify_clauses
 from repro.sat.solver import Solver
 from repro.sat.types import SolverConfig, SolverStats, SolveResult
@@ -60,6 +64,7 @@ __all__ = [
     "ServiceDeadError",
     "ShareConfig",
     "ProbeOutcome",
+    "ProbeSession",
     "ProofLogger",
     "SimplifyStats",
     "simplify_clauses",

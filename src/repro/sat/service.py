@@ -34,15 +34,22 @@ from whichever member proves it first, while SAT *models* are only taken
 from the primary (lowest-index live) member, which also never imports
 foreign clauses — its search is exactly the serial incremental descent,
 so the linear descent's reported models stay a pure function of the
-formula.  Losing members are cancelled *cooperatively*: a progress hook
-raises inside the search, the worker answers "cancelled", and its solver
-(state intact) is ready for the next probe.
+formula.  A probe returns as soon as its winner is known.  Losing members
+are cancelled *cooperatively* and not waited for: the parent raises the
+member's shared cancel mark to the probe id, a progress hook raises inside
+the search (or the worker skips a probe it reads too late), and the reply
+the member still owes is read and dropped during a later probe
+(``service.late_replies``).  Until then the member sits out new probes,
+so no worker ever has two in flight; afterwards its solver, state intact,
+gets the clauses it missed as one delta.  The primary is the exception:
+it is waited for before the next probe, because models come from it.
 
 Workers that crash or stop responding are terminated and recorded
-(``service.worker_crashes``); the survivors keep the session alive.  A
-session with no live workers raises :class:`ServiceDeadError`, which the
-descent layer (:func:`repro.opt.minimize.minimize_sum`) answers by
-falling back to the one-shot portfolio for the remaining probes.
+(``service.worker_crashes``); so is a cancelled member that still owes
+its reply after the cancellation grace.  The survivors keep the session
+alive.  A session with no live workers raises :class:`ServiceDeadError`,
+which :class:`repro.sat.session.ProbeSession` answers by finishing on an
+in-process solver.
 """
 
 from __future__ import annotations
@@ -130,7 +137,7 @@ class _ProbeCancelled(Exception):
     """Raised inside a worker's search when the parent cancels the probe."""
 
 
-def _service_worker(index, member, num_vars, clauses, conn, cancel,
+def _service_worker(index, member, num_vars, clauses, conn, cancel_mark,
                     child_trace, child_events=False):
     """Worker entry point: build one incremental solver, serve probes.
 
@@ -171,10 +178,12 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel,
 
     exported_keys: set[tuple[int, ...]] = set()
     checks_seen = 0
+    probe_id = 0
+    served = 0  # probes this member was asked (it may sit some out)
     parent_pid = os.getppid()
 
     def check_cancel(snapshot) -> None:
-        if cancel.is_set():
+        if cancel_mark.value >= probe_id:
             raise _ProbeCancelled
         if os.getppid() != parent_pid:
             # The parent died mid-probe (e.g. a gateway pool worker was
@@ -203,8 +212,9 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel,
             timeout_s = msg
         start = time.perf_counter()
         reply: dict = {"index": index, "probe": probe_id}
+        served += 1
         try:
-            faults.on_probe(member.name, probe_id)
+            faults.on_probe(member.name, served)
             before = solver.stats.snapshot()
             # Deltas and shared clauses arrive as one flat int buffer
             # (:mod:`repro.sat.wire`) — one pickled blob per probe
@@ -218,14 +228,17 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel,
             # never conflict (where the cancel hook below cannot fire).
             solver.config.wall_deadline_s = timeout_s
             solver.on_progress(check_cancel, _CANCEL_CHECK_CONFLICTS)
-            cancelled = False
+            # A probe the parent decided before this worker read it is
+            # not started.
+            cancelled = cancel_mark.value >= probe_id
+            verdict = SolveResult.UNKNOWN
             with trace.span("service.probe", member=member.name,
                             probe=probe_id, delta=len(delta)) as span:
                 try:
-                    verdict = solver.solve(list(assumptions))
+                    if not cancelled:
+                        verdict = solver.solve(list(assumptions))
                 except _ProbeCancelled:
                     cancelled = True
-                    verdict = SolveResult.UNKNOWN
                 span.add(verdict=verdict.value, cancelled=cancelled)
             solver.on_progress(None)
             max_lbd, max_len, budget = share_spec
@@ -313,7 +326,15 @@ class SolverService:
         ]
         self._procs: list = []
         self._conns: list = []
-        self._cancels: list = []
+        #: Per worker: the highest probe id it must abandon (shared
+        #: memory the worker polls from its search's progress hook).
+        self._cancel_marks: list = []
+        #: Per worker: when it was cancelled while still owing a reply
+        #: (None once it caught up); drives the wedged-worker reaper.
+        self._behind_since: list[float | None] = []
+        self._last_sent: list[int] = []
+        #: Per worker: how many of ``clauses`` it holds.
+        self._seen: list[int] = []
         self._alive: list[bool] = []
         self._pending_imports: list[list[list[int]]] = []
         self._seen_shared: set[tuple[int, ...]] = set()
@@ -335,18 +356,21 @@ class SolverService:
         child_events = obs_events.enabled()
         for i, member in enumerate(self._members):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
-            cancel = ctx.Event()
+            cancel_mark = ctx.RawValue("q", 0)
             proc = ctx.Process(
                 target=_service_worker,
                 args=(i, member, self._num_vars, self._clauses,
-                      child_conn, cancel, child_trace, child_events),
+                      child_conn, cancel_mark, child_trace, child_events),
                 daemon=True,
             )
             proc.start()
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
-            self._cancels.append(cancel)
+            self._cancel_marks.append(cancel_mark)
+            self._behind_since.append(None)
+            self._last_sent.append(0)
+            self._seen.append(self._shipped)
             self._alive.append(True)
             self._pending_imports.append([])
         self._started = True
@@ -354,6 +378,7 @@ class SolverService:
         self.metrics.set("service.workers", len(self._members))
         self.metrics.inc("service.clauses_loaded", self._shipped)
         self.metrics.counter("service.worker_crashes")  # stable key
+        self.metrics.counter("service.late_replies")
         trace.event("service.start", workers=len(self._members),
                     clauses=self._shipped)
         return self
@@ -363,7 +388,11 @@ class SolverService:
         if not self._started:
             return
         for i, conn in enumerate(self._conns):
-            if self._alive[i]:
+            if self._behind_since[i] is not None:
+                # Still busy with a cancelled probe: nothing it could
+                # still say is wanted.
+                self._procs[i].terminate()
+            elif self._alive[i]:
                 try:
                     conn.send(("quit",))
                 except (BrokenPipeError, OSError):
@@ -421,14 +450,35 @@ class SolverService:
     ) -> ProbeOutcome:
         """Race one incremental solve over the resident workers.
 
-        Ships only the clauses appended since the last probe plus the
-        assumption literals.  Raises :class:`ServiceDeadError` when no
-        worker is left to ask, and
+        Ships each worker the clauses appended since it last probed plus
+        the assumption literals.  A helper still finishing a cancelled
+        probe sits this one out (so no worker ever has two probes in
+        flight); the primary is waited for, because SAT models are only
+        taken from it.  If every member asked dies without an answer,
+        the probe is asked again of the members that sat out.  Raises
+        :class:`ServiceDeadError` when no worker is left to ask, and
         :class:`PortfolioDisagreementError` when two members contradict
         each other.
         """
         if not self._started:
             raise ServiceError("service not started")
+        start = time.perf_counter()
+        while True:
+            budget = (
+                None if timeout_s is None
+                else max(timeout_s - (time.perf_counter() - start), 0.0)
+            )
+            outcome = self._probe_once(assumptions, budget)
+            if outcome is not None:
+                return outcome
+
+    def _probe_once(self, assumptions, timeout_s) -> ProbeOutcome | None:
+        self._await_primary()
+        # Helpers whose late reply arrived since the last probe rejoin.
+        behind = [i for i, since in enumerate(self._behind_since)
+                  if since is not None]
+        if behind:
+            self._wait(behind, 0)
         alive = [i for i, ok in enumerate(self._alive) if ok]
         if not alive:
             raise ServiceDeadError("all service workers have died")
@@ -438,37 +488,46 @@ class SolverService:
         cold = probe_id == 1
 
         prev = self._shipped
-        delta = self._clauses[prev:]
         self._shipped = len(self._clauses)
         met = self.metrics
         met.inc("service.probes")
-        met.inc("service.clauses_shipped", len(delta))
+        met.inc("service.clauses_shipped", self._shipped - prev)
         met.inc("service.clauses_skipped", prev)
         trace.counter("service.clauses_shipped",
-                      shipped=len(delta), skipped=prev)
+                      shipped=self._shipped - prev, skipped=prev)
 
         share_spec = (self._share.max_lbd, self._share.max_len,
                       self._share.budget_per_probe)
+        deltas: dict[int, bytes] = {}
         sent: set[int] = set()
         for i in alive:
+            if self._behind_since[i] is not None:
+                continue
+            seen = self._seen[i]
+            if seen not in deltas:
+                deltas[seen] = pack_clauses(self._clauses[seen:])
             imports = self._pending_imports[i]
             self._pending_imports[i] = []
             try:
                 self._conns[i].send(
-                    ("probe", probe_id, tuple(assumptions),
-                     pack_clauses(delta), pack_clauses(imports),
-                     share_spec, timeout_s)
+                    ("probe", probe_id, tuple(assumptions), deltas[seen],
+                     pack_clauses(imports), share_spec, timeout_s)
                 )
-                sent.add(i)
             except (BrokenPipeError, OSError):
                 self._mark_dead(i, "worker pipe closed before the probe")
+                continue
+            sent.add(i)
+            self._seen[i] = self._shipped
+            self._last_sent[i] = probe_id
         if not sent:
-            raise ServiceDeadError("no live worker accepted the probe")
+            return None  # the primary's pipe broke; ask the next one
 
         with trace.span("service.race", probe=probe_id,
                         workers=len(sent)) as race_span:
             outcome = self._collect(probe_id, sent, timeout_s, start,
                                     cold)
+            if outcome is None:
+                return None
             race_span.add(verdict=outcome.verdict.name,
                           winner=outcome.winner_name)
         met.observe("service.probe_wall_s", outcome.wall_time_s)
@@ -505,6 +564,7 @@ class SolverService:
         if not self._alive[index]:
             return
         self._alive[index] = False
+        self._behind_since[index] = None
         report = self.reports[index]
         report.error = report.error or error
         report.traceback = report.traceback or tb
@@ -521,27 +581,101 @@ class SolverService:
         except OSError:
             pass
 
+    def _reap_wedged(self) -> None:
+        """Kill workers that still owe a cancelled probe's reply after
+        the cancellation grace (a search deaf to its cancel mark)."""
+        now = time.perf_counter()
+        for i, since in enumerate(self._behind_since):
+            if since is not None and now - since > self._cancel_grace_s:
+                self._mark_dead(i, "cancelled worker stopped responding")
+
+    def _late_reply(self, i: int, msg: dict) -> None:
+        """A reply to a probe that was decided without this worker (or
+        the report of a worker that failed to start)."""
+        trace.merge(msg.get("spans"))
+        obs_events.merge(msg.get("events"))
+        if "error" in msg:
+            self._mark_dead(i, msg["error"], msg.get("traceback", ""))
+        else:
+            self.metrics.inc("service.late_replies")
+
+    def _drain(self, i: int, exited: bool, on_reply=None) -> None:
+        """Read everything worker ``i`` has queued.
+
+        Replies to the current probe go to ``on_reply``, older ones are
+        late replies.  The pipe's end of file, or an ``exited`` process
+        with nothing left to read, marks the worker dead — after its
+        last words are read, so an answer flushed just before dying
+        still counts.
+        """
+        conn = self._conns[i]
+        while self._alive[i] and conn.poll(0):  # end of file polls too
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError):
+                self._mark_dead(i, "worker connection closed")
+                return
+            if msg.get("probe") == self._last_sent[i]:
+                self._behind_since[i] = None  # caught up
+            if on_reply is None or msg.get("probe") != self._probe_id:
+                self._late_reply(i, msg)
+            elif "error" in msg:
+                obs_events.merge(msg.get("events"))
+                self._mark_dead(i, msg["error"], msg.get("traceback", ""))
+            else:
+                on_reply(i, msg)
+        if exited and self._alive[i]:
+            self._mark_dead(
+                i, f"worker died with exit code {self._procs[i].exitcode}"
+            )
+
+    def _wait(self, workers, timeout: float, on_reply=None) -> None:
+        """Wait up to ``timeout`` for any of ``workers`` to speak or
+        die, then drain every one that did."""
+        conns = {self._conns[i]: i for i in workers}
+        sentinels = {self._procs[i].sentinel: i for i in workers}
+        ready = set(connection_wait(list(conns) + list(sentinels),
+                                    timeout=timeout))
+        touched = {conns.get(obj, sentinels.get(obj)) for obj in ready}
+        for i in sorted(touched):
+            self._drain(i, self._procs[i].sentinel in ready, on_reply)
+
+    def _await_primary(self) -> None:
+        """Read the primary's late replies until it has caught up.
+
+        It was cancelled, so it answers at its next cancel check; one
+        that stays deaf past the grace is reaped and the next live
+        member becomes primary.
+        """
+        self._reap_wedged()
+        while True:
+            alive = [i for i, ok in enumerate(self._alive) if ok]
+            if not alive or self._behind_since[alive[0]] is None:
+                return
+            self._wait([alive[0]], _POLL_S)
+            self._reap_wedged()
+
     def _collect(self, probe_id, pending, timeout_s, start, cold):
-        """Gather one reply per probed worker and pick the winner."""
+        """Gather replies until the probe's winner is known.
+
+        Members cancelled once the winner is known are not waited for:
+        their cancel mark makes them abandon this probe at their next
+        check, and the reply they still owe is read as a late reply
+        (they sit out probes until it arrives).
+        """
         primary = min(pending)
         replies: dict[int, dict] = {}
         winner: int | None = None
         sat_candidate: int | None = None
-        timed_out = False
+        timed_out_at: float | None = None
         cancelled: set[int] = set()
         deadline = start + timeout_s if timeout_s is not None else None
-        grace_deadline: float | None = None
 
         def cancel(indices) -> None:
-            nonlocal grace_deadline
-            requested = False
             for i in indices:
                 if i in pending and i not in cancelled:
-                    self._cancels[i].set()
+                    self._cancel_marks[i].value = probe_id
                     cancelled.add(i)
-                    requested = True
-            if requested:
-                grace_deadline = time.perf_counter() + self._cancel_grace_s
 
         def handle_reply(i, msg) -> None:
             nonlocal winner, sat_candidate
@@ -591,62 +725,45 @@ class SolverService:
                         sat_candidate = i
                     cancel({j for j in pending if j != primary})
 
-        while pending:
-            conns = {self._conns[i]: i for i in pending}
-            sentinels = {self._procs[i].sentinel: i for i in pending}
-            ready = connection_wait(
-                list(conns) + list(sentinels), timeout=_POLL_S
-            )
-            # Replies first: a worker that died right after flushing its
-            # answer must not be mislabelled as crashed.
-            for obj in ready:
-                i = conns.get(obj)
-                if i is None or i not in pending:
-                    continue
-                try:
-                    msg = obj.recv()
-                except (EOFError, OSError):
-                    self._mark_dead(i, "worker connection closed")
-                    pending.discard(i)
-                    continue
-                if msg.get("probe") != probe_id:
-                    continue  # stale flush from an earlier probe
-                if "error" in msg:
-                    obs_events.merge(msg.get("events"))
-                    self._mark_dead(i, msg["error"],
-                                    msg.get("traceback", ""))
-                    pending.discard(i)
-                    continue
-                handle_reply(i, msg)
-            for obj in ready:
-                i = sentinels.get(obj)
-                if i is None or i not in pending:
-                    continue
-                try:
-                    if self._conns[i].poll(0):
-                        continue  # a reply is queued; read it next round
-                except OSError:
-                    pass
-                self._mark_dead(
-                    i,
-                    f"worker died with exit code {self._procs[i].exitcode}",
+        sweep = False
+        while not sweep:
+            # Once every member still owing this probe's reply is
+            # cancelled, one last non-blocking pass reads what has
+            # already arrived (replies, crash reports, deaths).  A
+            # timed-out probe instead waits for every reply — the
+            # members stop on their own wall deadline at the same
+            # time — up to the cancellation grace.
+            if timed_out_at is None:
+                sweep = not pending - cancelled
+            else:
+                sweep = not pending or (
+                    time.perf_counter() - timed_out_at
+                    > self._cancel_grace_s
                 )
-                pending.discard(i)
+            # Members behind on an earlier probe are read too: their
+            # late replies let them rejoin the next probe.
+            self._wait(
+                pending | {i for i, since in enumerate(self._behind_since)
+                           if since is not None},
+                0 if sweep else _POLL_S, handle_reply,
+            )
 
             now = time.perf_counter()
-            if deadline is not None and now > deadline and not timed_out:
-                timed_out = True
+            if (
+                deadline is not None and timed_out_at is None
+                and now > deadline
+            ):
+                timed_out_at = now
                 cancel(set(pending))
-            if grace_deadline is not None and now > grace_deadline:
-                for i in list(pending):
-                    if i in cancelled:
-                        self._mark_dead(
-                            i, "cancelled worker stopped responding"
-                        )
-                        pending.discard(i)
+            self._reap_wedged()
+            pending.intersection_update(
+                i for i, ok in enumerate(self._alive) if ok
+            )
 
-        for event in self._cancels:
-            event.clear()
+        now = time.perf_counter()
+        for i in pending:  # cancelled members that still owe the reply
+            self._behind_since[i] = timed_out_at or now
+        timed_out = timed_out_at is not None
 
         if winner is None and sat_candidate is not None:
             # The primary died or timed out after a helper proved SAT.
@@ -667,10 +784,12 @@ class SolverService:
         self._broadcast(replies, winner)
 
         if winner is None:
-            if not replies and not self._alive.count(True):
-                raise ServiceDeadError(
-                    "every service worker died during the probe"
-                )
+            if not replies and not timed_out:
+                if not any(self._alive):
+                    raise ServiceDeadError(
+                        "every service worker died during the probe"
+                    )
+                return None  # every asked member died; ask the others
             return ProbeOutcome(
                 verdict=SolveResult.UNKNOWN, wall_time_s=wall, cold=cold,
                 timed_out=timed_out, stats=merged,

@@ -107,10 +107,9 @@ def record_descent(reg: MetricsRegistry, result) -> None:
         service = result.portfolio.get("service")
         if service:
             # ``service.*`` / ``share.*`` session counters, including
-            # ``service.worker_crashes`` for mid-descent deaths.
+            # ``service.worker_crashes`` for mid-descent deaths and
+            # ``service.fallbacks`` for a descent finished in process.
             reg.merge_dict(service.get("counters", {}))
-            if service.get("fallback"):
-                reg.inc("service.fallbacks")
 
 
 def attach_progress(solver: Solver, interval_conflicts: int = 2000) -> None:

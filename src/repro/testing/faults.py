@@ -15,10 +15,10 @@ plumbing.  Every hook is a near-zero-cost no-op when no plan is armed
 
 Example::
 
-    plan = FaultPlan(kill_member="fast-decay", kill_probe=2)
+    plan = FaultPlan(kill_member="neg-phase", kill_probe=2)
     with injected(plan):
-        result = minimize_sum(cnf, lits, parallel=2, persistent=True)
-    # worker "fast-decay" SIGKILLed itself at its 2nd probe; the
+        result = minimize_sum(cnf, lits, parallel=2)
+    # worker "neg-phase" SIGKILLed itself at its 2nd probe; the
     # descent finished on the survivors.
 """
 
@@ -45,11 +45,11 @@ class FaultPlan:
 
     Attributes:
         kill_member: portfolio/service member that SIGKILLs its own
-            process at probe number ``kill_probe`` (1-based; 0 = during
-            worker startup, before the solver is built).
-        hang_member: member that sleeps ``hang_s`` seconds at probe
-            ``hang_probe`` instead of answering — exercises the
-            cancellation-grace / parent-timeout path.
+            process at the ``kill_probe``-th probe it is asked (1-based;
+            0 = during worker startup, before the solver is built).
+        hang_member: member that sleeps ``hang_s`` seconds at its
+            ``hang_probe``-th probe, deaf to cancellation — exercises
+            the late-reply / cancellation-grace / parent-timeout paths.
         slow_member: member that sleeps ``slow_start_s`` once at worker
             startup (slow fork / cold cache).
         checkpoint_fail_at: 1-based checkpoint write sequence number from
@@ -149,7 +149,8 @@ def on_worker_start(member_name: str) -> None:
 
 
 def on_probe(member_name: str, probe: int) -> None:
-    """Called at the start of probe number ``probe`` (1-based) in a worker."""
+    """Called at the start of a worker's ``probe``-th probe (1-based,
+    counting only the probes this worker was asked)."""
     plan = active_plan()
     if plan is None:
         return

@@ -46,6 +46,7 @@ class TestAppendLoad:
         assert record["metrics"] == {"bench.flag": True, "bench.x_s": 1.5}
         (loaded,) = history.load_history(path)
         assert loaded == record
+        assert record["host"] == history.host_fingerprint()
 
     def test_missing_file_is_empty_history(self, tmp_path):
         assert history.load_history(str(tmp_path / "nope.jsonl")) == []
@@ -109,11 +110,11 @@ class TestRollingBaseline:
 
 
 class TestHistoryGate:
-    def _seed(self, path, values, bench="descent"):
+    def _seed(self, path, values, bench="descent", host=None):
         for i, v in enumerate(values):
             history.append_history(
                 bench, {"bench.run_s": v}, path=str(path),
-                sha=f"sha{i}", timestamp=float(i),
+                sha=f"sha{i}", timestamp=float(i), host=host,
             )
 
     def _gate(self, path, current_file, current, bench="descent",
@@ -161,6 +162,25 @@ class TestHistoryGate:
         rc = self._gate(hist, tmp_path / "cur.json",
                         {"bench.run_s": 99.0}, bench="descent")
         assert rc == 0
+
+    def test_only_this_hosts_records_gate(self, tmp_path, capsys):
+        hist = tmp_path / "h.jsonl"
+        elsewhere = dict(history.host_fingerprint(), nproc=1)
+        self._seed(hist, [10.0, 10.0, 10.0], host=elsewhere)
+        # Only the slow host's records: nothing comparable to gate on.
+        rc = self._gate(hist, tmp_path / "cur.json", {"bench.run_s": 2.0})
+        assert rc == 0
+        assert "no usable history from this host" in capsys.readouterr().out
+        # This host's own records gate, unswayed by the other host's.
+        self._seed(hist, [1.0, 1.0, 1.0])
+        rc = self._gate(hist, tmp_path / "cur.json", {"bench.run_s": 2.0})
+        assert rc == 1
+
+    def test_records_without_host_form_their_own_group(self):
+        here = history.host_fingerprint()
+        records = [{"metrics": {}}, {"host": here, "metrics": {}}]
+        assert history.same_host(records, None) == records[:1]
+        assert history.same_host(records, here) == records[1:]
 
     def test_baseline_and_history_are_mutually_exclusive(self, tmp_path):
         cur = tmp_path / "cur.json"

@@ -3,15 +3,16 @@
 Covers the learned-clause exchange on the core solver, the
 :class:`repro.sat.service.SolverService` session protocol (delta
 shipping, cancellation, worker death), the differential agreement of the
-serial / one-shot-portfolio / persistent-service descents on the paper's
-running example, and the trace evidence that probes ship O(delta)
-clauses instead of O(|CNF|).
+serial and service descents on the paper's running example, and the
+trace evidence that probes ship O(delta) clauses instead of O(|CNF|).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
+import time
 
 import pytest
 
@@ -55,6 +56,26 @@ def fragile_factory(config):
     return _FragileSolver(config)
 
 
+def _wait_until_dead(pid: int, timeout_s: float = 5.0) -> None:
+    """Wait until the kernel has delivered a SIGKILL (the process is
+    gone or a zombie).  A probe that a live member decides does not
+    wait for the others, so a test that asserts the death was seen
+    must not race the signal."""
+    stat = f"/proc/{pid}/stat"
+    if not os.path.exists("/proc/self/stat"):
+        time.sleep(0.5)
+        return
+    deadline = time.perf_counter() + timeout_s
+    while time.perf_counter() < deadline:
+        try:
+            with open(stat, encoding="ascii") as handle:
+                if handle.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return
+        except FileNotFoundError:
+            return
+        time.sleep(0.005)
+
+
 def _descent_cnf():
     """4 selectable literals, at least two must be true (minimum cost 2)."""
     cnf = CNF(VarPool())
@@ -64,6 +85,16 @@ def _descent_cnf():
             for k in range(j + 1, 4):
                 cnf.add([lits[i], lits[j], lits[k]])
     return cnf, lits
+
+
+def _staircase_cnf(n: int = 6):
+    """Objective over negated vars: the first model has cost n - 1 and
+    the linear descent improves once per level down to cost 2."""
+    cnf = CNF(VarPool())
+    lits = [cnf.pool.var(("x", i)) for i in range(n)]
+    for combo in itertools.combinations(range(n), n - 1):
+        cnf.add([-lits[i] for i in combo])
+    return cnf, [-lit for lit in lits]
 
 
 SAT_CLAUSES = [[1, 2], [-1, 3], [-2, -3]]
@@ -163,6 +194,7 @@ class TestSolverService:
             victim = service.worker_pids()[2]
             assert victim is not None
             os.kill(victim, signal.SIGKILL)
+            _wait_until_dead(victim)
             clauses.append([3])
             after = service.probe()
             assert after.verdict is SolveResult.SAT
@@ -188,14 +220,18 @@ class TestSolverService:
 @needs_fork
 class TestDescentCrashHandling:
     def test_one_worker_crash_keeps_descent_on_survivors(self):
-        cnf, lits = _descent_cnf()
+        # The primary dies at its second solve (a helper would not get
+        # to solve at all: on probes this small it is cancelled, and
+        # skips, before it starts).  The helper proves the SAT probes
+        # of the staircase descent and takes over as primary.
+        cnf, lits = _staircase_cnf()
         members = [
-            PortfolioMember("base", SolverConfig()),
             PortfolioMember("fragile", SolverConfig(random_seed=7),
                             solver_factory=fragile_factory),
+            PortfolioMember("base", SolverConfig()),
         ]
         result = minimize_sum(cnf, lits, parallel=2,
-                              portfolio_members=members, persistent=True)
+                              portfolio_members=members)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
         service = result.portfolio["service"]
@@ -205,23 +241,25 @@ class TestDescentCrashHandling:
                      if w["name"] == "fragile"]
         assert not fragile["alive"] and fragile["error"]
 
-    def test_all_workers_crash_falls_back_to_one_shot(self):
-        cnf, lits = _descent_cnf()
+    def test_all_workers_crash_falls_back_in_process(self):
+        cnf, lits = _staircase_cnf()
         members = [
             PortfolioMember("fragile-a", SolverConfig(random_seed=1),
                             solver_factory=fragile_factory),
             PortfolioMember("fragile-b", SolverConfig(random_seed=2),
                             solver_factory=fragile_factory),
         ]
-        # The service survives the first probe, loses every worker on the
-        # second, and the descent finishes on one-shot races (where each
-        # fresh fragile solver gets to solve exactly once).
+        # Each fragile member dies at its second solve, so within the
+        # first three probes of the staircase no worker is left; the
+        # descent then finishes on an in-process solver (a plain one,
+        # loaded from the current CNF).
         result = minimize_sum(cnf, lits, parallel=2,
-                              portfolio_members=members, persistent=True)
+                              portfolio_members=members)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
         service = result.portfolio["service"]
         assert service["counters"]["service.worker_crashes"] == 2
+        assert service["counters"]["service.fallbacks"] == 1
         assert service["fallback"]
 
     def test_fallback_when_service_cannot_start(self, monkeypatch):
@@ -230,13 +268,13 @@ class TestDescentCrashHandling:
 
         monkeypatch.setattr(SolverService, "start", refuse)
         cnf, lits = _descent_cnf()
-        result = minimize_sum(cnf, lits, parallel=2, persistent=True)
+        result = minimize_sum(cnf, lits, parallel=2)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
         assert "injected" in result.portfolio["service"]["fallback"]
 
 
-# --- differential: serial vs one-shot vs persistent service ----------------
+# --- differential: serial vs service -----------------------------------------
 
 @needs_fork
 class TestServiceDifferential:
@@ -244,15 +282,11 @@ class TestServiceDifferential:
         study = running_example()
         net = study.discretize()
         serial = generate_layout(net, study.schedule, study.r_t_min)
-        oneshot = generate_layout(net, study.schedule, study.r_t_min,
-                                  parallel=2, persistent=False)
         service = generate_layout(net, study.schedule, study.r_t_min,
-                                  parallel=2, persistent=True)
-        for raced in (oneshot, service):
-            assert raced.satisfiable == serial.satisfiable
-            assert raced.objective_value == serial.objective_value
-            assert raced.proven_optimal == serial.proven_optimal
-        assert service.portfolio["persistent"] is True
+                                  parallel=2)
+        assert service.satisfiable == serial.satisfiable
+        assert service.objective_value == serial.objective_value
+        assert service.proven_optimal == serial.proven_optimal
         counters = service.portfolio["service"]["counters"]
         assert counters["service.probes"] == service.solve_calls
         # record_descent merged the session counters into task metrics.
@@ -264,21 +298,18 @@ class TestServiceDifferential:
         study = running_example()
         net = study.discretize()
         serial = optimize_schedule(net, study.schedule, study.r_t_min)
-        oneshot = optimize_schedule(net, study.schedule, study.r_t_min,
-                                    parallel=2, persistent=False)
         service = optimize_schedule(net, study.schedule, study.r_t_min,
-                                    parallel=2, persistent=True)
-        for raced in (oneshot, service):
-            assert raced.satisfiable == serial.satisfiable
-            assert raced.objective_value == serial.objective_value
-            assert raced.proven_optimal == serial.proven_optimal
+                                    parallel=2)
+        assert service.satisfiable == serial.satisfiable
+        assert service.objective_value == serial.objective_value
+        assert service.proven_optimal == serial.proven_optimal
 
     def test_persistent_generation_is_reproducible(self, micro_net,
                                                    crossing_schedule):
         first = generate_layout(micro_net, crossing_schedule, 1.0,
-                                parallel=2, persistent=True)
+                                parallel=2)
         second = generate_layout(micro_net, crossing_schedule, 1.0,
-                                 parallel=2, persistent=True)
+                                 parallel=2)
         assert first.satisfiable == second.satisfiable
         assert first.objective_value == second.objective_value
         assert first.num_sections == second.num_sections
@@ -294,7 +325,7 @@ class TestClausesShippedTrace:
         try:
             cnf, lits = _descent_cnf()
             base_clauses = cnf.num_clauses
-            result = minimize_sum(cnf, lits, parallel=2, persistent=True)
+            result = minimize_sum(cnf, lits, parallel=2)
             records = trace.export_spans()
         finally:
             trace.reset()

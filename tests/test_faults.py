@@ -8,6 +8,7 @@ inherit the plan through the ``REPRO_FAULTS`` environment variable.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import time
@@ -15,9 +16,11 @@ import time
 import pytest
 
 from repro.logic import CNF, VarPool
+from repro.obs import trace
 from repro.opt import minimize_sum
-from repro.sat.portfolio import fork_available
+from repro.sat.portfolio import diversified_members, fork_available
 from repro.sat.service import SolverService
+from repro.sat.solver import Solver
 from repro.sat.types import SolveResult
 from repro.tasks import generate_layout, verify_schedule
 from repro.tasks.batch import BatchJob, run_batch
@@ -38,6 +41,22 @@ def _staircase(n: int = 6):
     for combo in itertools.combinations(range(n), n - 1):
         cnf.add([-lits[i] for i in combo])
     return cnf, [-lit for lit in lits]
+
+
+class _PacedSolver(Solver):
+    """Every solve takes at least 20 ms, so on the tiny staircase the
+    helper is still in the race when the primary answers."""
+
+    def solve(self, assumptions=()):
+        time.sleep(0.02)
+        return super().solve(assumptions)
+
+
+def _paced_members(n: int = 2):
+    return [
+        dataclasses.replace(member, solver_factory=_PacedSolver)
+        for member in diversified_members(n)
+    ]
 
 
 def _job_ok(value, seed=0):
@@ -74,7 +93,8 @@ class TestServiceFaults:
         # keeps going on the survivor and the crash is counted.
         cnf, obj = _staircase()
         with injected(FaultPlan(kill_member="neg-phase", kill_probe=2)):
-            result = minimize_sum(cnf, obj, parallel=2, persistent=True)
+            result = minimize_sum(cnf, obj, parallel=2,
+                                  portfolio_members=_paced_members())
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
         service = result.portfolio["service"]
@@ -83,7 +103,7 @@ class TestServiceFaults:
     def test_worker_kill_at_startup_downgrades_gracefully(self):
         cnf, obj = _staircase()
         with injected(FaultPlan(kill_member="neg-phase", kill_probe=0)):
-            result = minimize_sum(cnf, obj, parallel=2, persistent=True)
+            result = minimize_sum(cnf, obj, parallel=2)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
 
@@ -105,11 +125,40 @@ class TestServiceFaults:
         assert outcome.verdict is SolveResult.SAT
         assert elapsed < 10.0  # nowhere near the 30 s hang
 
+    def test_hung_helper_does_not_hold_up_probes(self):
+        # Helper "neg-phase" sleeps 2 s at its 2nd probe, deaf to
+        # cancellation.  That probe returns once the primary answers;
+        # the helper's reply arrives late and is dropped, and the
+        # helper sits out the probes it is still too busy for.
+        cnf, obj = _staircase()
+        serial = minimize_sum(cnf, obj)
+        cnf, obj = _staircase()
+        tracer = trace.install(trace.Tracer())
+        try:
+            with injected(FaultPlan(hang_member="neg-phase", hang_probe=2,
+                                    hang_s=2.0)):
+                result = minimize_sum(cnf, obj, parallel=2,
+                                      portfolio_members=_paced_members())
+        finally:
+            trace.reset()
+        probes = {span.args["call"]: span.duration()
+                  for span in tracer.spans
+                  if span.name == "descent.probe"}
+        assert len(probes) >= 3 and max(probes.values()) < 1.0
+        # The helper was asked exactly twice: at its 2nd probe it hung,
+        # and it sat out every later probe of the descent.
+        races = [span.args["workers"] for span in tracer.spans
+                 if span.name == "service.race"]
+        assert races.count(2) == 2 and races[-1] == 1
+        assert result.proven_optimal and result.cost == serial.cost
+        service = result.portfolio["service"]
+        assert service["counters"]["service.worker_crashes"] == 0
+
     def test_slow_worker_start_only_delays(self):
         cnf, obj = _staircase()
         with injected(FaultPlan(slow_member="neg-phase",
                                 slow_start_s=0.2)):
-            result = minimize_sum(cnf, obj, parallel=2, persistent=True)
+            result = minimize_sum(cnf, obj, parallel=2)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
 
@@ -173,9 +222,9 @@ class TestLazyFaults:
 
     def test_service_death_mid_refinement_falls_back(self):
         # A single-member service that dies at probe 2 leaves no
-        # survivors (ServiceDeadError); the loop must replay the round
-        # through the one-shot portfolio — over the *refined* clause
-        # set — and still conclude UNSAT.
+        # survivors (ServiceDeadError); the loop must finish on an
+        # in-process solver loaded from the *refined* clause set and
+        # still conclude UNSAT.
         from repro.encoding.lazy import solve_lazy_verification
         from repro.network.sections import VSSLayout
         from repro.sat.portfolio import diversified_members
@@ -199,8 +248,7 @@ class TestLazyFaults:
         net, schedule, r_t = self._running_example()
         with injected(FaultPlan(kill_member="neg-phase", kill_probe=2)):
             result = generate_layout(
-                net, schedule, r_t, parallel=2, persistent=True,
-                lazy=True,
+                net, schedule, r_t, parallel=2, lazy=True,
             )
         assert result.satisfiable and result.proven_optimal
         assert result.objective_value == 1  # the clean-run optimum

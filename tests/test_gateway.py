@@ -247,6 +247,24 @@ class TestGatewayEndToEnd:
         assert warm["warm_started"] and not cold["warm_started"]
         assert warm["objective_value"] == cold["objective_value"]
 
+    def test_warm_optimize_keeps_the_cold_makespan(self, gateway):
+        payload = _inline_payload(task="optimize", params={
+            "strategy": "linear", "guarded_arrivals": True,
+        })
+        cold = gateway.request(payload)
+        assert cold["ok"] and cold["satisfiable"] and cold["model"]
+        repeated = gateway.request(payload)
+        # An arrival deadline is dropped by optimize, so the nudged copy
+        # is the same optimisation, warm-started from the cached model.
+        nudged = gateway.request(_relax_one_arrival(payload, 1.0))
+        assert repeated["cached"]
+        assert nudged["warm_started"] and not nudged["cached"]
+        for answer in (repeated, nudged):
+            assert answer["time_steps"] == cold["time_steps"]
+            assert answer["objective_value"] == cold["objective_value"]
+        # The warm descent still has to prove the cached makespan optimal.
+        assert nudged["solve_calls"] >= 1
+
     def test_verify_witness_replay_skips_solver(self, gateway):
         cold = gateway.request(_micro_verify_payload(arrival_min=4.0))
         assert cold["ok"] and cold["satisfiable"] and cold["model"]

@@ -7,11 +7,13 @@ behaviour of the portfolio-routed optimisation descent.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.logic import CNF, VarPool
 from repro.opt import minimize_sum
-from repro.sat import PortfolioMember, SolverConfig
+from repro.sat import PortfolioMember, Solver, SolverConfig
 from repro.sat.portfolio import fork_available
 from repro.tasks import (
     BatchJob,
@@ -23,7 +25,6 @@ from repro.tasks import (
     verify_schedule,
 )
 from repro.tasks.batch import job_seed
-from tests.test_portfolio_runner import slow_factory
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"
@@ -200,6 +201,29 @@ class TestTable1Jobs:
 
 # --- descent degradation (satellite: timeout -> best-known bound) ----------
 
+class _SlowSolver(Solver):
+    """Every solve after the first takes 0.8 s, charged to its wall
+    deadline — longer than any bounded probe of the descent below."""
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self._solves = 0
+
+    def solve(self, assumptions=()):
+        self._solves += 1
+        if self._solves > 1:
+            time.sleep(0.8)
+            if self.config.wall_deadline_s is not None:
+                self.config.wall_deadline_s = max(
+                    self.config.wall_deadline_s - 0.8, 0.0
+                )
+        return super().solve(assumptions)
+
+
+def slow_solve_factory(config):
+    return _SlowSolver(config)
+
+
 def _descent_cnf():
     """4 selectable literals, at least two must be true (minimum cost 2)."""
     cnf = CNF(VarPool())
@@ -217,9 +241,9 @@ class TestDescentDegradation:
         cnf, lits = _descent_cnf()
         slow = [
             PortfolioMember("slow-a", SolverConfig(random_seed=1),
-                            solver_factory=slow_factory),
+                            solver_factory=slow_solve_factory),
             PortfolioMember("slow-b", SolverConfig(random_seed=2),
-                            solver_factory=slow_factory),
+                            solver_factory=slow_solve_factory),
         ]
         result = minimize_sum(
             cnf, lits, strategy="linear", parallel=2,
