@@ -25,9 +25,15 @@ test-gateway:
 # The running-example verification is UNSAT by design, so exit 1 is the
 # expected outcome; any other code (0 = unexpectedly SAT, >=2 = crash) is
 # a distinct, loud failure rather than being folded into the same test.
+# The lazy verify races on the solver service; the eager verify with a
+# DRAT proof is one probe of it (solve_portfolio), proof logged in the
+# service workers.
 smoke:
 	PYTHONPATH=src $(PYTHON) -m repro generate --case running-example -j 2
-	PYTHONPATH=src $(PYTHON) -m repro verify --case running-example -j 2; \
+	@for run in "--case running-example -j 2" \
+		"--case running-example --no-lazy -j 2 --proof"; do \
+		echo "smoke: repro verify $$run"; \
+		PYTHONPATH=src $(PYTHON) -m repro verify $$run; \
 		rc=$$?; \
 		if [ $$rc -eq 1 ]; then \
 			echo "smoke: verify UNSAT as expected"; \
@@ -36,7 +42,8 @@ smoke:
 		else \
 			echo "smoke: verify crashed with exit $$rc" >&2; \
 			exit $$rc; \
-		fi
+		fi; \
+	done
 
 # Differential fuzz: FUZZ_COUNT seeded scenarios through all four solver
 # paths; failing seeds are shrunk and written to fuzz-failures/.

@@ -25,7 +25,7 @@ PREFIXES = frozenset({
     "fuzz",         # scenarios/fuzz.py — fuzz-harness events
     "gateway",      # gateway/server.py — always-on solve gateway
     "lazy",         # encoding/lazy.py — CEGAR refinement counters
-    "portfolio",    # sat/portfolio.py — one-shot portfolio counters
+    "portfolio",    # sat/portfolio.py — portfolio race counters
     "profile",      # obs/profile.py — hot-path phase profiler
     "retry",        # sat/service.py — worker retry/backoff counters
     "scenario",     # scenarios/fuzz.py — per-scenario fuzz metrics

@@ -10,11 +10,12 @@ Public entry points:
 * :class:`Solver` — the CDCL solver (add clauses, solve under assumptions,
   read back models and unsat cores).
 * :class:`SolveResult` — SAT / UNSAT / UNKNOWN verdicts.
-* :func:`solve_portfolio` / :class:`SolverService` — one-shot and
-  resident-incremental parallel portfolios over diversified configs.
+* :class:`SolverService` — the resident parallel portfolio of
+  incremental solvers over diversified configs.
 * :class:`ProbeSession` — incremental probes over a growing CNF, serial
   or on the service, with a lazy-refinement hook (the descents and the
   lazy verification loop run on it).
+* :func:`solve_portfolio` — a single-shot race: one probe of a session.
 * :func:`parse_dimacs` / :func:`write_dimacs` — DIMACS CNF interchange.
 
 The solver itself is a facade over two trace-identical engines — the

@@ -1,18 +1,14 @@
-"""Persistent incremental portfolio solving for bound-probing descents.
+"""Resident incremental portfolio solving: every parallel SAT call.
 
-The optimisation descents in :mod:`repro.opt` solve one formula many times
-under tightening assumptions.  The one-shot portfolio
-(:mod:`repro.sat.portfolio`) re-forks fresh worker processes for every
-probe and re-loads the *entire* clause set into each of them, throwing
-away all learned clauses, VSIDS activities, and saved phases between
-probes — exactly the incremental state that makes the serial descent
-cheap (cf. Engels & Wille, who show incremental extension dominating
-from-scratch re-solving on this problem family).
-
-This module keeps the portfolio *resident* instead:
+Every parallel solve in the repository — the optimisation descents
+(:mod:`repro.opt`), the lazy verification loop (:mod:`repro.encoding.lazy`)
+and the single-shot races of :func:`repro.sat.portfolio.solve_portfolio`
+(eager ``-j N`` verification, DRAT proofs, fuzz) — is a sequence of
+probes of one :class:`repro.sat.session.ProbeSession`, and with
+``parallel > 1`` the session races those probes on this service:
 
 * :class:`SolverService` forks one long-lived worker per
-  :class:`~repro.sat.portfolio.PortfolioMember` **once per descent**.
+  :class:`~repro.sat.portfolio.PortfolioMember` **once per session**.
   The initial CNF travels to the workers for free via ``fork`` and each
   probe ships only the assumption literals plus the clause *delta* (for
   example newly built totalizer layers) over a pipe — O(delta) traffic
@@ -21,24 +17,30 @@ This module keeps the portfolio *resident* instead:
   exports travel as flat ``array('i')`` buffers (:mod:`repro.sat.wire`),
   one pickled blob per probe instead of one object per literal.
 * Every worker holds one incremental :class:`~repro.sat.Solver`, so
-  learned clauses, activities, and phases persist across probes.
+  learned clauses, activities, and phases persist across probes (cf.
+  Engels & Wille, who show incremental extension dominating from-scratch
+  re-solving on this problem family).
 * Between probes the parent harvests low-LBD clauses from the probe's
   finishers (winner first) via :meth:`Solver.export_learned`, dedups
   them by sorted-literal key, and broadcasts them — bounded by a
   per-probe budget — to the other members via
   :meth:`Solver.import_clauses`, giving every member a warm start
   (``share.*`` counters).
+* With ``with_proof`` every worker attaches a
+  :class:`~repro.sat.proof.ProofLogger` before it loads the CNF and an
+  UNSAT reply carries the DRAT steps.  Such a session shares no clauses:
+  a foreign learned clause is not a RUP step of the importer's log.
 
-Determinism mirrors the one-shot portfolio: an UNSAT answer is accepted
+The race is deterministic by construction: an UNSAT answer is accepted
 from whichever member proves it first, while SAT *models* are only taken
 from the primary (lowest-index live) member, which also never imports
-foreign clauses — its search is exactly the serial incremental descent,
-so the linear descent's reported models stay a pure function of the
-formula.  A probe returns as soon as its winner is known.  Losing members
-are cancelled *cooperatively* and not waited for: the parent raises the
-member's shared cancel mark to the probe id, a progress hook raises inside
-the search (or the worker skips a probe it reads too late), and the reply
-the member still owes is read and dropped during a later probe
+foreign clauses — its search is exactly the serial incremental one, so
+reported models stay a pure function of the formula.  A probe returns as
+soon as its winner is known.  Losing members are cancelled
+*cooperatively* and not waited for: the parent raises the member's shared
+cancel mark to the probe id, a progress hook raises inside the search (or
+the worker skips a probe it reads too late), and the reply the member
+still owes is read and dropped during a later probe
 (``service.late_replies``).  Until then the member sits out new probes,
 so no worker ever has two in flight; afterwards its solver, state intact,
 gets the clauses it missed as one delta.  The primary is the exception:
@@ -72,6 +74,7 @@ from repro.sat.portfolio import (
     fork_available,
     member_config_dict,
 )
+from repro.sat.proof import ProofLogger
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult
 from repro.sat.wire import pack_clauses, unpack_clauses
@@ -131,20 +134,31 @@ class ProbeOutcome:
     timed_out: bool = False
     #: Per-probe solver counters summed over every member that replied.
     stats: dict = field(default_factory=dict)
+    #: The winner's DRAT log on UNSAT, when the session logs proofs.
+    proof_steps: list | None = None
 
 
 class _ProbeCancelled(Exception):
     """Raised inside a worker's search when the parent cancels the probe."""
 
 
+def min_deadline(own: float | None, budget: float | None) -> float | None:
+    """The tighter of a solver's own wall deadline and a probe budget."""
+    if own is None:
+        return budget
+    return own if budget is None else min(own, budget)
+
+
 def _service_worker(index, member, num_vars, clauses, conn, cancel_mark,
-                    child_trace, child_events=False):
+                    child_trace, child_events=False, with_proof=False):
     """Worker entry point: build one incremental solver, serve probes.
 
     The CNF snapshot arrives through ``fork`` (no pickling); afterwards
     the pipe carries only probe commands (assumptions + clause deltas +
     shared clauses) and one reply per probe.  The solver persists for
-    the whole session, keeping its learned clauses across probes.
+    the whole session, keeping its learned clauses across probes.  With
+    ``with_proof`` the solver logs DRAT from before the first clause, and
+    an UNSAT reply carries the log.
     """
     if child_trace:
         trace.install(trace.fork_child(tid=f"service:{member.name}"))
@@ -156,6 +170,11 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel_mark,
         faults.on_worker_start(member.name)
         factory = member.solver_factory or Solver
         solver = factory(member.config)
+        own_deadline = solver.config.wall_deadline_s
+        logger = None
+        if with_proof:
+            logger = ProofLogger()
+            solver.attach_proof(logger)
         if child_events:
             solver.on_event(
                 lambda kind, **args: obs_events.emit(
@@ -226,7 +245,9 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel_mark,
             # The parent ships the probe's *remaining* wall budget; the
             # solver then gives up cooperatively even on searches that
             # never conflict (where the cancel hook below cannot fire).
-            solver.config.wall_deadline_s = timeout_s
+            # A member's own, tighter deadline still holds.
+            solver.config.wall_deadline_s = min_deadline(own_deadline,
+                                                         timeout_s)
             solver.on_progress(check_cancel, _CANCEL_CHECK_CONFLICTS)
             # A probe the parent decided before this worker read it is
             # not started.
@@ -254,6 +275,9 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel_mark,
                        if verdict is SolveResult.SAT else None),
                 core=(solver.unsat_core()
                       if verdict is SolveResult.UNSAT else []),
+                proof=(list(logger.steps)
+                       if logger is not None
+                       and verdict is SolveResult.UNSAT else None),
                 stats=solver.stats.delta(before).as_dict(),
                 kernel=solver.kernel,
                 time=time.perf_counter() - start,
@@ -301,9 +325,9 @@ class SolverService:
         clauses: list[list[int]],
         members: list[PortfolioMember] | None = None,
         processes: int | None = None,
-        deterministic: bool = True,
         share: ShareConfig | None = None,
         cancel_grace_s: float | None = None,
+        with_proof: bool = False,
     ):
         if processes is None:
             processes = len(members) if members else 2
@@ -314,8 +338,13 @@ class SolverService:
         self._members = list(members[: max(processes, 1)])
         self._num_vars = num_vars
         self._clauses = clauses
-        self._deterministic = deterministic
-        self._share = share or ShareConfig()
+        self._with_proof = with_proof
+        # A proof-logging session shares nothing: an imported clause
+        # would be an unjustified step in the importer's DRAT log.
+        self._share = (
+            ShareConfig(budget_per_probe=0) if with_proof
+            else share or ShareConfig()
+        )
         self._cancel_grace_s = (
             cancel_grace_s if cancel_grace_s is not None else _CANCEL_GRACE_S
         )
@@ -360,7 +389,8 @@ class SolverService:
             proc = ctx.Process(
                 target=_service_worker,
                 args=(i, member, self._num_vars, self._clauses,
-                      child_conn, cancel_mark, child_trace, child_events),
+                      child_conn, cancel_mark, child_trace, child_events,
+                      self._with_proof),
                 daemon=True,
             )
             proc.start()
@@ -514,6 +544,7 @@ class SolverService:
                      pack_clauses(imports), share_spec, timeout_s)
                 )
             except (BrokenPipeError, OSError):
+                self._drain(i, exited=True)  # its last words: a crash report
                 self._mark_dead(i, "worker pipe closed before the probe")
                 continue
             sent.add(i)
@@ -684,7 +715,8 @@ class SolverService:
             trace.merge(msg.get("spans"))
             obs_events.merge(msg.get("events"))
             report = self.reports[i]
-            report.finished = True
+            if not msg.get("cancelled"):
+                report.finished = True
             report.verdict = msg["verdict"]
             report.solve_time_s += msg.get("time", 0.0)
             report.stats = msg.get("stats", {})
@@ -713,14 +745,14 @@ class SolverService:
                     winner = i
                 cancel(set(pending))
             elif msg["verdict"] == SolveResult.SAT.value:
-                if not self._deterministic or i == primary:
+                if i == primary:
                     if winner is None:
                         winner = i
                     cancel(set(pending))
                 else:
-                    # Deterministic: remember the witness, free the
-                    # other helpers, let the primary finish so the
-                    # model does not depend on scheduling.
+                    # Remember the witness, free the other helpers, let
+                    # the primary finish so the model does not depend on
+                    # scheduling.
                     if sat_candidate is None or i < sat_candidate:
                         sat_candidate = i
                     cancel({j for j in pending if j != primary})
@@ -805,6 +837,7 @@ class SolverService:
             cold=cold,
             timed_out=timed_out,
             stats=merged,
+            proof_steps=msg.get("proof"),
         )
 
     def _broadcast(self, replies, winner) -> None:
@@ -813,8 +846,8 @@ class SolverService:
         The winner's export is taken first (it decided the probe, its
         clauses are the proven-useful ones), then the other finishers',
         all deduped against everything shared before and capped by the
-        per-probe budget.  In deterministic mode the primary member
-        never imports, so its search stays the exact serial descent.
+        per-probe budget.  The primary member never imports, so its
+        search stays the exact serial one.
         """
         met = self.metrics
         budget = self._share.budget_per_probe
@@ -840,7 +873,7 @@ class SolverService:
         alive = [i for i, ok in enumerate(self._alive) if ok]
         primary = min(alive, default=-1)
         for j in alive:
-            if self._deterministic and j == primary:
+            if j == primary:
                 continue
             queued = [lits for origin, lits in harvest if origin != j]
             if queued:

@@ -1,7 +1,9 @@
 """One probe session: a growing CNF answered probe by probe.
 
 The optimisation descents (:mod:`repro.opt.minimize`) and the lazy
-verification loop (:mod:`repro.encoding.lazy`) share one shape: solve the
+verification loop (:mod:`repro.encoding.lazy`) share one shape, and a
+single-shot solve (:func:`repro.sat.portfolio.solve_portfolio`) is its
+one-probe case: solve the
 CNF under some assumptions; on SAT let a ``refine`` callback check the
 model against lazily deferred constraints, append the clauses it
 violates, and re-solve until the model is clean (cf. Engels & Wille's
@@ -20,7 +22,9 @@ is that shape, written once:
 ``wall_deadline_s`` bounds the whole session; each solve gets
 min(per-probe budget, remaining wall budget).  An exhausted budget — also
 midway through refinement — returns UNKNOWN with ``timed_out`` set, never
-a model the refiner has not passed.
+a model the refiner has not passed.  ``with_proof`` makes every solver of
+the session, in process or in a service worker, log DRAT from before its
+first clause; an UNSAT outcome then carries the steps.
 """
 
 from __future__ import annotations
@@ -31,8 +35,18 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.obs import events as obs_events
 from repro.obs import trace
-from repro.sat.portfolio import PortfolioMember, diversified_members
-from repro.sat.service import ProbeOutcome, ServiceError, SolverService
+from repro.sat.portfolio import (
+    PortfolioMember,
+    WorkerReport,
+    diversified_members,
+)
+from repro.sat.proof import ProofLogger
+from repro.sat.service import (
+    ProbeOutcome,
+    ServiceError,
+    SolverService,
+    min_deadline,
+)
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult, SolverConfig
 
@@ -76,7 +90,8 @@ class ProbeSession:
     ``solver`` (serial only) supplies the in-process solver; ``members``
     (parallel only) the service's portfolio.  ``profile`` turns on the
     phase profiler in every solver the session creates.  Read the
-    results (:meth:`solver_stats`, :meth:`summary`) before :meth:`close`.
+    results (:meth:`solver_stats`, :meth:`summary`, :attr:`reports`)
+    before :meth:`close`.
     """
 
     def __init__(
@@ -88,6 +103,7 @@ class ProbeSession:
         refine: Callable[[list[int]], int] | None = None,
         wall_deadline_s: float | None = None,
         profile: bool = False,
+        with_proof: bool = False,
     ):
         self.cnf = cnf
         self.parallel = parallel
@@ -98,6 +114,10 @@ class ProbeSession:
         #: The in-process solver (serial, or after a service fallback).
         self.solver: Solver | None = None
         self._service: SolverService | None = None
+        #: The service members' reports (empty when serial).
+        self.reports: list[WorkerReport] = []
+        self._with_proof = with_proof
+        self._proof: ProofLogger | None = None
         self._shipped = 0
         self._configured_deadline: float | None = None
         self._service_stats: dict = {}
@@ -109,11 +129,13 @@ class ProbeSession:
                 base = SolverConfig(profile=True) if profile else None
                 members = diversified_members(parallel, base=base)
             self._members = members
+            service = SolverService(
+                cnf.num_vars, cnf.clauses, members=members,
+                processes=parallel, with_proof=with_proof,
+            )
+            self.reports = service.reports
             try:
-                self._service = SolverService(
-                    cnf.num_vars, cnf.clauses, members=members,
-                    processes=parallel,
-                ).start()
+                self._service = service.start()
             except ServiceError as exc:
                 self._fall_back(exc)
         else:
@@ -126,6 +148,10 @@ class ProbeSession:
 
     def _use_solver(self, solver: Solver) -> None:
         """Probe in process from now on; the next probe loads the CNF."""
+        if self._with_proof:
+            # First: attaching a proof may swap the engine, hooks and all.
+            self._proof = ProofLogger()
+            solver.attach_proof(self._proof)
         progress = obs_events.progress_callback()
         if progress is not None:
             solver.on_progress(progress)
@@ -208,16 +234,19 @@ class ProbeSession:
         for clause in clauses[self._shipped:]:
             solver.add_clause(clause)
         self._shipped = len(clauses)
-        configured = self._configured_deadline
-        solver.config.wall_deadline_s = (
-            configured if timeout_s is None
-            else timeout_s if configured is None
-            else min(configured, timeout_s)
+        solver.config.wall_deadline_s = min_deadline(
+            self._configured_deadline, timeout_s
         )
         verdict = solver.solve(list(assumptions))
+        unsat = verdict is SolveResult.UNSAT
         return ProbeOutcome(
             verdict=verdict,
             model=solver.model() if verdict is SolveResult.SAT else None,
+            unsat_core=solver.unsat_core() if unsat else [],
+            proof_steps=(
+                list(self._proof.steps)
+                if unsat and self._proof is not None else None
+            ),
             timed_out=verdict is SolveResult.UNKNOWN and (
                 solver.last_stats.deadline_hits > 0
                 or self.budget.exhausted()

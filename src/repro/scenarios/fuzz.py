@@ -5,7 +5,7 @@ pipelines that must agree bit-for-bit on the verdict:
 
 * ``eager``     — serial solve of the full eager encoding;
 * ``lazy``      — serial CEGAR loop over the lazily-deferred families;
-* ``portfolio`` — eager encoding raced through the process portfolio;
+* ``portfolio`` — eager encoding raced in one probe of the solver service;
 * ``service``   — CEGAR loop on the resident incremental solver service.
 
 Optionally the generation task's optimum (minimum added VSS borders) is

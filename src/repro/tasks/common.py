@@ -6,7 +6,6 @@ from repro.encoding.decode import Solution
 from repro.encoding.encoder import EncodingOptions, EtcsEncoding
 from repro.encoding.validate import validate_solution
 from repro.network.discretize import DiscreteNetwork
-from repro.obs import events as obs_events
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.opt.result import STATUS_TIMEOUT
@@ -111,13 +110,3 @@ def record_descent(reg: MetricsRegistry, result) -> None:
             # ``service.fallbacks`` for a descent finished in process.
             reg.merge_dict(service.get("counters", {}))
 
-
-def attach_progress(solver: Solver, interval_conflicts: int = 2000) -> None:
-    """Feed periodic solver progress snapshots into the trace and the
-    structured event stream (whichever are enabled), and forward the
-    solver's own events (restarts, deadline hits) to the event log."""
-    progress = obs_events.progress_callback()
-    if progress is not None:
-        solver.on_progress(progress, interval_conflicts=interval_conflicts)
-    if obs_events.enabled():
-        solver.on_event(obs_events.emit)

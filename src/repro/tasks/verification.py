@@ -21,8 +21,6 @@ from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.opt.checkpoint import descent_fingerprint, warm_compatible
 from repro.sat import (
-    ProofLogger,
-    Solver,
     SolverConfig,
     check_rup_proof,
     diversified_members,
@@ -32,7 +30,6 @@ from repro.sat import (
 from repro.network.discretize import DiscreteNetwork
 from repro.network.sections import VSSLayout
 from repro.tasks.common import (
-    attach_progress,
     build_encoding,
     checked_decode,
     record_encoding,
@@ -72,10 +69,11 @@ def verify_schedule(
     subsumption, strengthening — :mod:`repro.sat.simplify`) before solving;
     the verdict is unaffected, the solver's workload shrinks.
 
-    ``parallel > 1`` races the solve through a process portfolio of that
-    many diversified solver configurations (:mod:`repro.sat.portfolio`);
-    the verdict is provably unchanged and the witness stays deterministic.
-    ``parallel=1`` is exactly the serial path.
+    ``parallel > 1`` races the solve over that many diversified solver
+    configurations on the resident solver service
+    (:func:`repro.sat.portfolio.solve_portfolio`); the verdict is provably
+    unchanged and the witness stays deterministic.  ``parallel=1`` is
+    exactly the serial path.
 
     ``lazy`` (the default) defers the cross-train constraint families to
     the CEGAR loop in :mod:`repro.encoding.lazy` — same verdict, usually
@@ -191,11 +189,12 @@ def verify_schedule(
             reg.absorb_lazy(outcome.refiner.stats())
             task_span.add(lazy_rounds=outcome.refiner.rounds)
             model_lits = sorted(outcome.true_vars) if satisfiable else []
-        elif parallel > 1:
+        else:
             with trace.span("solve", processes=parallel):
                 race = solve_portfolio(
                     encoding.cnf.num_vars, clauses,
-                    members=diversified_members(parallel, base=member_base),
+                    members=diversified_members(max(parallel, 1),
+                                                base=member_base),
                     processes=parallel, with_proof=with_proof,
                 )
             satisfiable = bool(race)
@@ -206,55 +205,17 @@ def verify_schedule(
                     if satisfiable
                     else None
                 )
-            if (
-                not satisfiable
-                and with_proof
-                and race.proof_steps is not None
-            ):
+            if race.proof_steps is not None:
                 with trace.span("check-proof"):
                     proof_checked = check_rup_proof(
                         encoding.cnf.num_vars, clauses, race.proof_steps
                     )
-            solver_stats = race.stats.merged_counters() if race.stats else {}
-            if race.stats:
+            solver_stats = race.stats.merged_counters()
+            if parallel > 1:
                 portfolio_summary = race.stats.as_dict()
                 reg.absorb_portfolio(race.stats)
             reg.absorb_solver_stats(solver_stats)
             model_lits = sorted(race.true_set()) if satisfiable else []
-        else:
-            logger = None
-            solver = Solver(SolverConfig(profile=profile))
-            if with_proof:
-                logger = ProofLogger()
-                solver.attach_proof(logger)
-            attach_progress(solver)
-            with trace.span("solve"):
-                solver.ensure_var(max(encoding.cnf.num_vars, 1))
-                for clause in clauses:
-                    solver.add_clause(clause)
-                verdict = solver.solve()
-            satisfiable = bool(verdict)
-            proof_checked = None
-            true_vars = (
-                {lit for lit in solver.model() if lit > 0}
-                if satisfiable
-                else set()
-            )
-            with trace.span("decode", satisfiable=satisfiable):
-                solution = (
-                    checked_decode(encoding, true_vars)
-                    if satisfiable
-                    else None
-                )
-            if not satisfiable and logger is not None:
-                with trace.span("check-proof"):
-                    proof_checked = check_rup_proof(
-                        encoding.cnf.num_vars, encoding.cnf.clauses,
-                        logger.steps,
-                    )
-            record_solver(reg, solver)
-            solver_stats = solver.stats.as_dict()
-            model_lits = sorted(true_vars)
         task_span.add(satisfiable=satisfiable, warm=warm_used)
     runtime = time.perf_counter() - start
     reg.set("task.runtime_s", runtime)

@@ -1,15 +1,15 @@
 """Deterministic fault injection for the resilience test tier.
 
-The crash/fallback paths of the solver service, the one-shot portfolio,
-the batch runner, and the checkpoint writer are hard to reach naturally:
-they trigger on worker death, wedged searches, and failing disks.  This
-module makes those events *reproducible*: a :class:`FaultPlan` armed via
+The crash/fallback paths of the solver service, the batch runner, and
+the checkpoint writer are hard to reach naturally: they trigger on worker
+death, wedged searches, and failing disks.  This module makes those
+events *reproducible*: a :class:`FaultPlan` armed via
 the ``REPRO_FAULTS`` environment variable (a JSON object) tells the
 production hooks below exactly where to misbehave — kill this member at
 that probe, hang for so long, fail the Nth checkpoint write.
 
-The environment is the transport on purpose: service and portfolio
-workers are forked children, so an armed plan reaches them with zero
+The environment is the transport on purpose: service and batch workers
+are forked children, so an armed plan reaches them with zero
 plumbing.  Every hook is a near-zero-cost no-op when no plan is armed
 (one cached environment lookup).
 
@@ -138,7 +138,7 @@ def _die() -> None:
 
 
 def on_worker_start(member_name: str) -> None:
-    """Called once when a portfolio/service worker comes up."""
+    """Called once when a service worker comes up."""
     plan = active_plan()
     if plan is None:
         return

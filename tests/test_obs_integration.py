@@ -131,7 +131,7 @@ class TestForkMerge:
         solve_portfolio(num_vars, clauses, processes=2)
         member_spans = [s for s in tracer.spans if s.tid != "main"]
         assert member_spans, "worker spans were not merged"
-        assert {"portfolio.member", "load", "solve"} <= {
+        assert {"service.load", "service.probe"} <= {
             s.name for s in member_spans
         }
 

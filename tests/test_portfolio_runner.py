@@ -1,7 +1,12 @@
-"""Unit tests for the parallel portfolio runner (repro.sat.portfolio)."""
+"""Unit tests for the parallel portfolio runner (repro.sat.portfolio).
+
+``solve_portfolio`` is one probe of a probe session: serial in process,
+or raced on the resident solver service.
+"""
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import pytest
@@ -61,7 +66,6 @@ class TestDiversifiedMembers:
         members = diversified_members(5, base=base)
         assert members[0].name == "base"
         assert members[0].config == base
-        assert not members[0].presimplify
 
     def test_members_are_actually_diverse(self):
         members = diversified_members(6)
@@ -148,6 +152,22 @@ class TestRace:
         assert result.proof_steps is not None
         assert check_rup_proof(num_vars, clauses, result.proof_steps)
 
+    def test_helper_proves_unsat_with_a_checkable_proof(self):
+        from repro.sat import check_rup_proof
+
+        num_vars, clauses = UNSAT_CNF
+        members = [
+            PortfolioMember("slow-primary", SolverConfig(),
+                            solver_factory=slow_factory),
+            PortfolioMember("helper", SolverConfig()),
+        ]
+        result = solve_portfolio(num_vars, clauses, members=members,
+                                 processes=2, with_proof=True, timeout_s=30)
+        assert result.verdict is SolveResult.UNSAT
+        assert result.stats.winner_name == "helper"
+        assert result.proof_steps is not None
+        assert check_rup_proof(num_vars, clauses, result.proof_steps)
+
     def test_worker_reports_collected(self):
         num_vars, clauses = SAT_CNF
         result = solve_portfolio(num_vars, clauses, processes=2)
@@ -224,3 +244,61 @@ class TestDeterminism:
         second = solve_portfolio(num_vars, clauses, processes=3)
         assert first.verdict == second.verdict
         assert first.model == second.model
+
+
+def _no_children_after(call) -> None:
+    try:
+        call()
+    except PortfolioDisagreementError:
+        pass
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+class TestNoLeftoverProcesses:
+    """Every path of ``solve_portfolio`` reaps its workers before it
+    returns."""
+
+    @pytest.mark.parametrize("path", [
+        "serial", "sat", "unsat", "core", "proof", "one-crash",
+        "all-crash", "timeout", "disagreement",
+    ])
+    def test_no_child_process_is_left(self, path):
+        sat_vars, sat_clauses = SAT_CNF
+        unsat_vars, unsat_clauses = UNSAT_CNF
+        slow = [
+            PortfolioMember(f"slow-{i}", SolverConfig(),
+                            solver_factory=slow_factory)
+            for i in (1, 2)
+        ]
+        calls = {
+            "serial": lambda: solve_portfolio(sat_vars, sat_clauses,
+                                              processes=1),
+            "sat": lambda: solve_portfolio(sat_vars, sat_clauses,
+                                           processes=3),
+            "unsat": lambda: solve_portfolio(unsat_vars, unsat_clauses,
+                                             processes=3),
+            "core": lambda: solve_portfolio(2, [[1, 2]],
+                                            assumptions=[-1, -2],
+                                            processes=2),
+            "proof": lambda: solve_portfolio(unsat_vars, unsat_clauses,
+                                             processes=2, with_proof=True),
+            "one-crash": lambda: solve_portfolio(
+                unsat_vars, unsat_clauses,
+                members=[crashing_member(),
+                         PortfolioMember("base", SolverConfig())],
+                processes=2, timeout_s=30),
+            "all-crash": lambda: solve_portfolio(
+                sat_vars, sat_clauses,
+                members=[crashing_member("c1"), crashing_member("c2")],
+                processes=2, timeout_s=30),
+            "timeout": lambda: solve_portfolio(
+                sat_vars, sat_clauses, members=slow, processes=2,
+                timeout_s=0.15),
+            "disagreement": lambda: solve_portfolio(
+                unsat_vars, unsat_clauses,
+                members=[slow[0], PortfolioMember(
+                    "liar", SolverConfig(), solver_factory=lying_factory)],
+                processes=2, timeout_s=30),
+        }
+        _no_children_after(calls[path])

@@ -8,6 +8,8 @@ must keep arriving right up to the cooperative give-up.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.obs import events
@@ -18,7 +20,6 @@ from repro.sat import (
     SolverConfig,
     solve_portfolio,
 )
-from repro.sat import portfolio as portfolio_module
 from repro.sat import service as service_module
 from repro.sat.portfolio import fork_available
 from repro.sat.service import SolverService
@@ -76,7 +77,7 @@ class TestSerialDeadlineDelivery:
 @needs_fork
 class TestPortfolioDelivery:
     def test_member_progress_events_are_merged(self, monkeypatch):
-        monkeypatch.setattr(portfolio_module, "_PROGRESS_EVERY", 20)
+        monkeypatch.setattr(service_module, "_PROGRESS_EVENT_CHECKS", 1)
         log = events.install(events.EventLog())
         num_vars, clauses = _php(6)
         result = solve_portfolio(num_vars, clauses, processes=2)
@@ -92,7 +93,7 @@ class TestPortfolioDelivery:
 
     def test_deadline_expires_mid_race(self, monkeypatch):
         """Members on a wall budget still deliver progress + the hit."""
-        monkeypatch.setattr(portfolio_module, "_PROGRESS_EVERY", 20)
+        monkeypatch.setattr(service_module, "_PROGRESS_EVENT_CHECKS", 1)
         log = events.install(events.EventLog())
         num_vars, clauses = _php(9)  # unsolvable inside the budget
         members = [
@@ -107,7 +108,9 @@ class TestPortfolioDelivery:
         kinds = log.counts()
         assert kinds.get("progress", 0) > 0
         assert kinds.get("deadline.hit", 0) >= 1
-        hits = [r for r in log.export() if r["kind"] == "deadline.hit"]
+        hits = [r for r in log.export() if r["kind"] == "deadline.hit"
+                and r["args"].get("scope") != "probe"]
+        assert hits
         assert {r["args"]["member"] for r in hits} <= {"tight-1", "tight-2"}
 
 
@@ -160,3 +163,16 @@ class TestServiceDelivery:
             outcome = service.probe()
         assert outcome.verdict is SolveResult.UNSAT
         assert events.export_events() == []
+
+
+@needs_fork
+class TestServiceMemberDeadline:
+    def test_member_deadline_tighter_than_probe_budget_holds(self):
+        """A member's own wall deadline is not widened to the probe's."""
+        num_vars, clauses = _php(9)  # far beyond a 0.2 s budget
+        member = PortfolioMember("tight", SolverConfig(wall_deadline_s=0.2))
+        start = time.perf_counter()
+        with SolverService(num_vars, clauses, members=[member]) as service:
+            outcome = service.probe(timeout_s=30)
+        assert outcome.verdict is SolveResult.UNKNOWN
+        assert time.perf_counter() - start < 5.0
